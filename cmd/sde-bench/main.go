@@ -29,13 +29,12 @@
 //
 // -json also benchmarks the query-optimization pipeline (-qopt-out,
 // default BENCH_qopt.json), the speculative-fork solver pipeline
-// (-spec-out, default BENCH_spec.json; synchronous vs 1/2/4 async
-// solver workers on the entangled assume-chain workload), and the
-// compiled basic-block fast path (-vm-out, default BENCH_vm.json;
-// compiled vs interpreted on a concrete-heavy collect run, with
-// optional per-mode CPU profiles via -vm-profile-dir). -spec-workers
-// sizes the speculation pool for the table sweeps, and
-// -cpuprofile/-memprofile write pprof profiles for any mode.
+// (-spec-out, default BENCH_spec.json; speculation off vs on for the
+// entangled assume-chain workload), and the compiled basic-block fast
+// path (-vm-out, default BENCH_vm.json; compiled vs interpreted on a
+// concrete-heavy collect run, with optional per-mode CPU profiles via
+// -vm-profile-dir). -cpuprofile/-memprofile write pprof profiles for any
+// mode.
 //
 // Long sweeps can be made durable with -checkpoint DIR: every run (and,
 // in -sharded mode, every shard of the adaptive schedule) snapshots its
@@ -75,7 +74,6 @@ func run() (err error) {
 	splitBits := flag.Int("split-bits", 0, "adaptive split depth cap for -sharded (0 = same as -shard-bits)")
 	splitThreshold := flag.Int("split-threshold", 0, "live-state straggler threshold for -sharded (0 = default)")
 	sharedCache := flag.Bool("shared-cache", true, "share one solver cache across shards in -sharded")
-	specWorkers := flag.Int("spec-workers", 0, "solver workers for the speculative-fork pipeline (0 = one per CPU)")
 	jsonBench := flag.Bool("json", false, "run the solver, query-optimizer, and speculation benches and write machine-readable results")
 	jsonOut := flag.String("out", "BENCH_solver.json", "output path for -json")
 	qoptOut := flag.String("qopt-out", "BENCH_qopt.json", "output path for the -json query-optimizer results")
@@ -96,9 +94,6 @@ func run() (err error) {
 	debug.SetGCPercent(600)
 
 	if err := validateWorkerFlag("-workers", *workers); err != nil {
-		return err
-	}
-	if err := validateWorkerFlag("-spec-workers", *specWorkers); err != nil {
 		return err
 	}
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
@@ -141,7 +136,7 @@ func run() (err error) {
 		return err
 	}
 	if *sharded {
-		return runSharded(dims[0], uint32(*packets), *workers, *specWorkers, *shardBits,
+		return runSharded(dims[0], uint32(*packets), *workers, *shardBits,
 			*splitBits, *splitThreshold, *sharedCache, *wallCap, *checkpoint)
 	}
 	if *table1 {
@@ -181,7 +176,7 @@ func run() (err error) {
 // runSharded compares an unsharded run, a static uniform pre-split, and
 // the adaptive work-stealing scheduler on the same grid scenario at the
 // same worker count.
-func runSharded(dim int, packets uint32, workers, specWorkers, shardBits, splitBits, splitThreshold int, sharedCache bool, wallCap time.Duration, checkpoint string) error {
+func runSharded(dim int, packets uint32, workers, shardBits, splitBits, splitThreshold int, sharedCache bool, wallCap time.Duration, checkpoint string) error {
 	opts := sde.DefaultEvalOptions(dim)
 	if packets > 0 {
 		opts.Packets = packets
@@ -229,9 +224,8 @@ func runSharded(dim int, packets uint32, workers, specWorkers, shardBits, splitB
 	row("unsharded", plain.Wall(), plain.States(), sde.SchedStats{Shards: 1})
 
 	static, err := sde.RunScenarioShardedWith(scenario, sde.ShardConfig{
-		ShardBits:   shardBits,
-		Workers:     workers,
-		SpecWorkers: specWorkers,
+		ShardBits: shardBits,
+		Workers:   workers,
 	})
 	if err != nil {
 		return err
@@ -240,7 +234,6 @@ func runSharded(dim int, packets uint32, workers, specWorkers, shardBits, splitB
 
 	adaptive, err := sde.RunScenarioShardedWith(scenario, sde.ShardConfig{
 		Workers:           workers,
-		SpecWorkers:       specWorkers,
 		MaxSplitBits:      splitBits,
 		SplitThreshold:    splitThreshold,
 		SharedSolverCache: sharedCache,

@@ -22,9 +22,8 @@ func TestParseDims(t *testing.T) {
 	}
 }
 
-// TestValidateWorkerFlag: negative -workers/-spec-workers must be
-// rejected with an error naming the flag, not silently mapped to a
-// default worker count.
+// TestValidateWorkerFlag: a negative -workers must be rejected with an
+// error naming the flag, not silently mapped to a default worker count.
 func TestValidateWorkerFlag(t *testing.T) {
 	cases := []struct {
 		name string
@@ -34,10 +33,6 @@ func TestValidateWorkerFlag(t *testing.T) {
 		{"-workers", 0, true},
 		{"-workers", 8, true},
 		{"-workers", -1, false},
-		{"-spec-workers", 0, true},
-		{"-spec-workers", 4, true},
-		{"-spec-workers", -1, false},
-		{"-spec-workers", -100, false},
 	}
 	for _, tt := range cases {
 		err := validateWorkerFlag(tt.name, tt.n)

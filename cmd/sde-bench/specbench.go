@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"sde"
@@ -12,9 +13,9 @@ import (
 // specBenchResult is one row of BENCH_spec.json: the speculation workload
 // run end to end under one pipeline configuration.
 type specBenchResult struct {
-	Name        string `json:"name"`
-	SpecWorkers int    `json:"spec_workers"` // 0 = speculation disabled
-	NsPerOp     int64  `json:"ns_per_op"`    // one full scenario run
+	Name      string `json:"name"`
+	Speculate bool   `json:"speculate"`
+	NsPerOp   int64  `json:"ns_per_op"` // one full scenario run
 
 	SATCalls  int64 `json:"sat_calls"`
 	Conflicts int64 `json:"conflicts"`
@@ -33,6 +34,7 @@ type specBenchResult struct {
 type specBenchReport struct {
 	Benchmark   string    `json:"benchmark"`
 	Generated   time.Time `json:"generated"`
+	HostCPUs    int       `json:"host_cpus"`
 	Depth       int       `json:"depth"`
 	Activations int       `json:"activations"`
 	Width       int       `json:"width"`
@@ -40,9 +42,8 @@ type specBenchReport struct {
 
 	Modes []specBenchResult `json:"modes"`
 
-	// SpeedupAt4Workers is sync wall time over 4-worker pipeline wall
-	// time — the headline the issue's acceptance criterion tracks.
-	SpeedupAt4Workers float64 `json:"speedup_at_4_workers"`
+	// Speedup is synchronous wall time over pipelined wall time.
+	Speedup float64 `json:"speedup"`
 }
 
 // runSpecBench measures the speculative-fork solver pipeline against
@@ -62,13 +63,18 @@ func runSpecBench(out string, reps int) error {
 	rep := specBenchReport{
 		Benchmark:   "SpeculativePipeline",
 		Generated:   time.Now().UTC(),
+		HostCPUs:    runtime.NumCPU(),
 		Depth:       opts.Depth,
 		Activations: opts.Activations,
 		Width:       opts.Width,
 		Reps:        reps,
 	}
 
-	measure := func(name string, specWorkers int) (specBenchResult, error) {
+	measure := func(speculate bool) (specBenchResult, error) {
+		name := "sync"
+		if speculate {
+			name = "spec"
+		}
 		var best time.Duration
 		var res specBenchResult
 		for r := 0; r < reps; r++ {
@@ -76,9 +82,7 @@ func runSpecBench(out string, reps int) error {
 			if err != nil {
 				return specBenchResult{}, err
 			}
-			if specWorkers > 0 {
-				scenario = scenario.WithSpeculation(specWorkers)
-			} else {
+			if !speculate {
 				scenario = scenario.WithoutSpeculation()
 			}
 			start := time.Now()
@@ -93,7 +97,7 @@ func runSpecBench(out string, reps int) error {
 				sp := report.SpecStats()
 				res = specBenchResult{
 					Name:          name,
-					SpecWorkers:   specWorkers,
+					Speculate:     speculate,
 					NsPerOp:       best.Nanoseconds(),
 					SATCalls:      st.SATCalls,
 					Conflicts:     st.Conflicts,
@@ -109,31 +113,14 @@ func runSpecBench(out string, reps int) error {
 		return res, nil
 	}
 
-	var syncNs, w4Ns int64
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{
-		{"sync", 0},
-		{"spec-w1", 1},
-		{"spec-w2", 2},
-		{"spec-w4", 4},
-	} {
-		res, err := measure(mode.name, mode.workers)
+	for _, speculate := range []bool{false, true} {
+		res, err := measure(speculate)
 		if err != nil {
 			return err
 		}
 		rep.Modes = append(rep.Modes, res)
-		switch mode.name {
-		case "sync":
-			syncNs = res.NsPerOp
-		case "spec-w4":
-			w4Ns = res.NsPerOp
-		}
 	}
-	if w4Ns > 0 {
-		rep.SpeedupAt4Workers = float64(syncNs) / float64(w4Ns)
-	}
+	rep.Speedup = float64(rep.Modes[0].NsPerOp) / float64(rep.Modes[1].NsPerOp)
 
 	doc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -150,6 +137,6 @@ func runSpecBench(out string, reps int) error {
 			m.Name, time.Duration(m.NsPerOp), m.SATCalls,
 			m.SpecSubmitted, m.SpecSolves, m.SpecElided)
 	}
-	fmt.Printf("  speedup at 4 workers: %.2fx  → %s\n", rep.SpeedupAt4Workers, out)
+	fmt.Printf("  speedup: %.2fx  → %s\n", rep.Speedup, out)
 	return nil
 }

@@ -31,6 +31,7 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
@@ -131,8 +132,12 @@ func run() error {
 // pair is part of the partition definition, so it must equal the job's —
 // a digest from a different horizon legitimately differs.
 func oracleDigest(specJSON string, bits, testCases int, horizon uint64, fanout int) (string, error) {
+	// Unknown keys are errors, as on the job API: a misspelled feature
+	// would otherwise yield the digest of a different job.
+	dec := json.NewDecoder(strings.NewReader(specJSON))
+	dec.DisallowUnknownFields()
 	var spec sde.ScenarioSpec
-	if err := json.Unmarshal([]byte(specJSON), &spec); err != nil {
+	if err := dec.Decode(&spec); err != nil {
 		return "", fmt.Errorf("parsing -oracle spec: %w", err)
 	}
 	scenario, err := spec.Scenario()

@@ -48,7 +48,8 @@ func TestOracleDigestClampsBits(t *testing.T) {
 }
 
 func TestOracleDigestRejectsBadSpec(t *testing.T) {
-	for _, bad := range []string{`{not json`, `{"workload":"collect","topology":"ring:9"}`} {
+	for _, bad := range []string{`{not json`, `{"workload":"collect","topology":"ring:9"}`,
+		`{"workload":"collect","topology":"grid:3","enable_merge":true}`} {
 		if _, err := oracleDigest(bad, 2, 0, 0, 0); err == nil {
 			t.Errorf("oracle accepted %q", bad)
 		}

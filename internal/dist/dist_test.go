@@ -119,6 +119,86 @@ func TestServiceBitIdentical(t *testing.T) {
 	}
 }
 
+// TestServiceJobFeatures: a job's exploration features travel in its
+// spec, so every lease runs with them whichever worker takes it — the
+// workers here set none. Each case's fleet digest must equal the
+// in-process run of the same spec and partition, and the layer must
+// really engage in that run. Merging and reduction both change the
+// instruction count, which each leaf's snapshot carries, so the fleet's
+// count matches the in-process one only if its workers ran the layer too.
+func TestServiceJobFeatures(t *testing.T) {
+	c, addr := startCoordinator(t, Options{RetryMillis: 10})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	startWorker(t, ctx, addr, WorkerOptions{Name: "w0"})
+	startWorker(t, ctx, addr, WorkerOptions{Name: "w1"})
+
+	merged := testSpec
+	merged.Merge = true
+	cases := []struct {
+		name    string
+		spec    sde.ScenarioSpec
+		bits    int
+		engaged func(*sde.Report) bool
+	}{
+		{"merge", merged, 2, func(r *sde.Report) bool { return r.MergeStats().Merges > 0 }},
+		// The flood's forwarders are interchangeable, so COB reduction
+		// pins symmetric drop decisions instead of forking them.
+		{"reduce", sde.ScenarioSpec{
+			Workload: "flood", Topology: "mesh:4", Algorithm: "cob",
+			Features: sde.Features{Reduce: true},
+		}, 1, func(r *sde.Report) bool { return r.ReduceStats().Pins > 0 }},
+	}
+	instructions := func(r *sde.ShardedReport) uint64 {
+		var n uint64
+		for _, sh := range r.Shards {
+			n += sh.Report.Instructions()
+		}
+		return n
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			id, err := c.AddJob(tc.spec, tc.bits, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := waitJob(t, c, id, 60*time.Second)
+			if st.State != JobDone {
+				t.Fatalf("job state = %s (%s)", st.State, st.Error)
+			}
+			s, err := tc.spec.Scenario()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := sde.RunScenarioShardedWith(s, sde.ShardConfig{ShardBits: tc.bits})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.Digest(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Digest != want {
+				t.Errorf("distributed digest %s != in-process digest %s", st.Digest, want)
+			}
+			engaged := false
+			for _, sh := range ref.Shards {
+				engaged = engaged || tc.engaged(sh.Report)
+			}
+			if !engaged {
+				t.Errorf("the %s layer never engaged in-process; the comparison proves nothing", tc.name)
+			}
+			fleet, _, _, err := c.JobReport(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := instructions(fleet), instructions(ref); got != want {
+				t.Errorf("fleet ran %d instructions, in-process %d: the workers ignored the spec's features", got, want)
+			}
+		})
+	}
+}
+
 // TestServiceWorkerCrashRecovery kills one worker mid-lease — abrupt
 // connection drop right after its shard's first durable checkpoint, like
 // a SIGKILL — and requires the surviving fleet to finish the job with a
@@ -271,31 +351,34 @@ func TestServiceStragglerSplit(t *testing.T) {
 }
 
 // TestServiceVersionNegotiation: a worker speaking a different wire
-// version must be rejected at handshake with an error naming both
-// versions.
+// version must be rejected at handshake with an error naming the
+// version. The pre-bump version matters as much as a future one: such a
+// worker would ignore the features in the lease's spec.
 func TestServiceVersionNegotiation(t *testing.T) {
 	_, addr := startCoordinator(t, Options{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := writeMsg(conn, MsgHello, Hello{Name: "future", Wire: snap.WireVersion + 1}); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := snap.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != MsgError {
-		t.Fatalf("expected MsgError, got type %d", typ)
-	}
-	em, err := decode[ErrorMsg](payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(em.Msg, "version") {
-		t.Errorf("rejection %q does not mention the version", em.Msg)
+	for _, wire := range []int{snap.WireVersion + 1, snap.WireVersion - 1} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := writeMsg(conn, MsgHello, Hello{Name: "skewed", Wire: wire}); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := snap.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != MsgError {
+			t.Fatalf("wire %d: expected MsgError, got type %d", wire, typ)
+		}
+		em, err := decode[ErrorMsg](payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(em.Msg, "version") {
+			t.Errorf("wire %d: rejection %q does not mention the version", wire, em.Msg)
+		}
 	}
 }
 

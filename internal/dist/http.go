@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -9,7 +10,12 @@ import (
 	"sde"
 )
 
-// SubmitRequest is the POST /api/v1/jobs body.
+// maxSubmitBytes caps a POST /api/v1/jobs body (1 MiB); a spec is a few
+// hundred bytes.
+const maxSubmitBytes = 1 << 20
+
+// SubmitRequest is the POST /api/v1/jobs body. The job's exploration
+// features ride in the spec.
 type SubmitRequest struct {
 	Spec sde.ScenarioSpec `json:"spec"`
 	// ShardBits sizes the initial partition (clamped to the scenario's
@@ -49,7 +55,8 @@ type shardedReportJSON struct {
 
 // HTTPHandler exposes the job API:
 //
-//	POST /api/v1/jobs              submit a job (SubmitRequest -> SubmitResponse)
+//	POST /api/v1/jobs              submit a job (SubmitRequest -> SubmitResponse;
+//	                               400 on unknown fields, 413 above 1 MiB)
 //	GET  /api/v1/jobs              list job statuses
 //	GET  /api/v1/jobs/{id}         one job's status
 //	GET  /api/v1/jobs/{id}/report  the finished job's full report + digest
@@ -60,8 +67,18 @@ type shardedReportJSON struct {
 func (c *Coordinator) HTTPHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		// Unknown fields are errors, not silently dropped: a misspelled
+		// or retired feature key would otherwise run a default job.
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+		dec.DisallowUnknownFields()
 		var req SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := dec.Decode(&req); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				http.Error(w, fmt.Sprintf("request body exceeds the %d-byte limit", tooBig.Limit),
+					http.StatusRequestEntityTooLarge)
+				return
+			}
 			http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 			return
 		}

@@ -187,3 +187,47 @@ func TestServiceHTTPAPI(t *testing.T) {
 		}
 	}
 }
+
+// TestServiceHTTPSubmitChecks: the job API refuses what it cannot honour
+// instead of running a default job — a body over the 1 MiB cap (413) and
+// any unknown field, such as a retired or misspelled feature key (400),
+// each with the limit or field named — and accepts the spec's feature
+// keys.
+func TestServiceHTTPSubmitChecks(t *testing.T) {
+	c, _ := startCoordinator(t, Options{})
+	srv := httptest.NewServer(c.HTTPHandler())
+	defer srv.Close()
+	submit := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+
+	huge := `{"spec":{"workload":"` + strings.Repeat("x", maxSubmitBytes) + `"}}`
+	if code, msg := submit(huge); code != http.StatusRequestEntityTooLarge ||
+		!strings.Contains(msg, "1048576") {
+		t.Errorf("oversized body: %d %q, want 413 naming the limit", code, msg)
+	}
+	for _, field := range []string{"enable_merge", "reduced"} {
+		body := `{"spec":{"workload":"collect","topology":"grid:3","` + field + `":true}}`
+		if code, msg := submit(body); code != http.StatusBadRequest || !strings.Contains(msg, field) {
+			t.Errorf("unknown field %s: %d %q, want 400 naming it", field, code, msg)
+		}
+	}
+	code, msg := submit(`{"spec":{"workload":"collect","topology":"grid:3","merge":true,"reduce":true}}`)
+	if code != http.StatusOK {
+		t.Fatalf("feature keys rejected: %d %q", code, msg)
+	}
+	var sub SubmitResponse
+	if err := json.Unmarshal([]byte(msg), &sub); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := c.JobStatus(sub.ID); !st.Spec.Merge || !st.Spec.Reduce {
+		t.Errorf("job spec lost its features: %+v", st.Spec)
+	}
+}

@@ -85,19 +85,14 @@ type Welcome struct {
 }
 
 // Lease grants one work item. The spec travels with every lease: worker
-// and coordinator each materialise the scenario from it, which is what
-// keeps leases self-contained and workers stateless across jobs.
+// and coordinator each materialise the scenario from it, features
+// included, which is what keeps leases self-contained and workers
+// stateless across jobs.
 type Lease struct {
-	ID                 uint64           `json:"id"`
-	Job                string           `json:"job"`
-	Spec               sde.ScenarioSpec `json:"spec"`
-	Item               sde.ShardItem    `json:"item"`
-	CheckpointEvery    int              `json:"checkpoint_every,omitempty"`
-	DisableSpeculation bool             `json:"disable_speculation,omitempty"`
-	SpecWorkers        int              `json:"spec_workers,omitempty"`
-	DisableCompiledIR  bool             `json:"disable_compile,omitempty"`
-	EnableMerge        bool             `json:"enable_merge,omitempty"`
-	EnableReduce       bool             `json:"enable_reduce,omitempty"`
+	ID   uint64           `json:"id"`
+	Job  string           `json:"job"`
+	Spec sde.ScenarioSpec `json:"spec"`
+	Item sde.ShardItem    `json:"item"`
 	// MaxSplitDepth caps straggler re-splitting for this job (the
 	// scenario's MaxShardBits at most); a worker never splits past it.
 	MaxSplitDepth int `json:"max_split_depth,omitempty"`

@@ -32,15 +32,10 @@ type WorkerOptions struct {
 	HeartbeatEvery time.Duration
 	// DialTimeout bounds the initial connection (default 5s).
 	DialTimeout time.Duration
-	// CheckpointEvery, DisableSpeculation, SpecWorkers,
-	// DisableCompiledIR, EnableMerge, and EnableReduce default the
-	// per-lease execution knobs when the lease does not set them.
-	CheckpointEvery    int
-	DisableSpeculation bool
-	SpecWorkers        int
-	DisableCompiledIR  bool
-	EnableMerge        bool
-	EnableReduce       bool
+	// CheckpointEvery is the lease checkpoint interval in processed
+	// events (0 = the engine default). The exploration features are not
+	// a worker setting: they travel in each lease's spec.
+	CheckpointEvery int
 	// SplitStates, when > 0, arms straggler self-splitting: a lease
 	// whose live state count exceeds it after SplitAfter, while the
 	// coordinator reports a starved queue, is abandoned with a Split so
@@ -226,15 +221,6 @@ func executeLease(ctx context.Context, conn net.Conn, acks <-chan HeartbeatAck,
 	ckptPath := filepath.Join(dir, snap.CheckpointFile)
 	logf("lease %d: shard %s of %s -> %s", lease.ID, lease.Item.Label(), lease.Job, dir)
 
-	every := lease.CheckpointEvery
-	if every == 0 {
-		every = opts.CheckpointEvery
-	}
-	specWorkers := lease.SpecWorkers
-	if specWorkers == 0 {
-		specWorkers = opts.SpecWorkers
-	}
-
 	var (
 		ckptSeen  int
 		cancelled bool
@@ -291,16 +277,11 @@ func executeLease(ctx context.Context, conn net.Conn, acks <-chan HeartbeatAck,
 	}
 
 	out, err := sde.RunShardLease(scenario, lease.Item, sde.LeaseOptions{
-		CheckpointDir:      dir,
-		CheckpointEvery:    every,
-		DisableSpeculation: lease.DisableSpeculation || opts.DisableSpeculation,
-		SpecWorkers:        specWorkers,
-		DisableCompiledIR:  lease.DisableCompiledIR || opts.DisableCompiledIR,
-		EnableMerge:        lease.EnableMerge || opts.EnableMerge,
-		EnableReduce:       lease.EnableReduce || opts.EnableReduce,
-		Progress:           progress,
-		EventTarget:        lease.EventTarget,
-		Continuation:       parent,
+		CheckpointDir:   dir,
+		CheckpointEvery: opts.CheckpointEvery,
+		Progress:        progress,
+		EventTarget:     lease.EventTarget,
+		Continuation:    parent,
 	})
 	switch {
 	case *crashed:

@@ -132,12 +132,10 @@ func (s *Series) CSV() string {
 // speculation resolved, and how much time resolution barriers spent
 // waiting on verdicts. All zero when speculation is disabled.
 type SpecStats struct {
-	Workers int // solver worker count of the pipeline
-
 	Submitted    int64 // speculations submitted (a branch pair counts once)
 	Pairs        int64 // two-sided branch speculations
 	Assumes      int64 // single-query assume speculations
-	Solves       int64 // feasibility queries the workers actually issued
+	Solves       int64 // feasibility queries the worker actually issued
 	Elided       int64 // false-side verdicts answered by complement elision
 	InflightPeak int64 // high-water mark of unresolved speculations
 
@@ -154,8 +152,8 @@ func (s SpecStats) String() string {
 	if s.Submitted == 0 {
 		return "speculation: off"
 	}
-	return fmt.Sprintf("spec: workers=%d submitted=%d (pairs=%d assumes=%d) solves=%d elided=%d rewinds=%d kills=%d barrier-wait=%s",
-		s.Workers, s.Submitted, s.Pairs, s.Assumes, s.Solves, s.Elided,
+	return fmt.Sprintf("spec: submitted=%d (pairs=%d assumes=%d) solves=%d elided=%d rewinds=%d kills=%d barrier-wait=%s",
+		s.Submitted, s.Pairs, s.Assumes, s.Solves, s.Elided,
 		s.Rewinds, s.SpecKills, time.Duration(s.BarrierWaitNs).Round(time.Microsecond))
 }
 

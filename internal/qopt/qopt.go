@@ -25,8 +25,9 @@
 // Optimizer state is derived from interned expressions and is never
 // serialized: checkpoints stay bit-identical, and a resumed run rebuilds
 // rewrite memos on demand. Each stage is independently toggleable via
-// solver.Options; disabling a stage is the first triage step when a
-// soundness bug is suspected.
+// solver.Options; disabling the optimizer is the last step of the
+// soundness-triage order stated on sim.Features, and disabling one stage
+// at a time bisects further.
 package qopt
 
 import (

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"runtime"
 	"time"
 
 	"sde/internal/core"
@@ -52,6 +51,60 @@ type Caps struct {
 	MaxMemBytes     int64         // abort when modeled RAM exceeds this (0 = unlimited)
 	MaxWall         time.Duration // abort after this much wall time (0 = unlimited)
 	MaxInstructions uint64        // abort after this many instructions (0 = unlimited)
+}
+
+// Features are the exploration layers a run can switch, declared once:
+// sim.Config embeds them, and so does sde.ScenarioSpec, through which
+// every entry point — sde-run's flags, the job API, sde-serve -oracle and
+// each distributed lease — receives them. The zero value is the default
+// run: compiled, unmerged, unreduced, speculative.
+//
+// Triage order. Compilation, merging and speculation are bit-identical:
+// switching one changes no fingerprint, dscenario, violation or test
+// case. Reduction preserves the violation set and one test case per
+// symmetry orbit, but not the state count. When a run looks wrong, flip
+// one switch at a time, lowest layer first, and stop at the first one
+// that changes the output (for reduction: the violation set):
+//
+//  1. -compile=false (Interpret): the compiled path sits below all others;
+//  2. -merge=false (Merge);
+//  3. -reduce=false (Reduce);
+//  4. -speculate=false (NoSpeculation);
+//  5. -qopt=false: the query optimizer, switched through solver.Options
+//     (sde.Scenario.WithoutQueryOptimizer).
+type Features struct {
+	// Interpret turns the basic-block compiled fast path off: every
+	// instruction goes through the per-instruction symbolic interpreter.
+	// The IR is derived at load time and never serialized, so this switch
+	// may differ between a checkpointed run and its resumption.
+	Interpret bool `json:"interpret,omitempty"`
+
+	// Merge turns on ITE-based state merging (internal/merge): sibling
+	// states of one node differing at a bounded number of locations fuse
+	// into one representative whose diverging values become
+	// ite(Δ, v1, v2), and split back into the exact members at the first
+	// non-uniform control decision or observable instruction. It shrinks
+	// how many live machines exist, not what the run observes. Replay
+	// runs never merge.
+	Merge bool `json:"merge,omitempty"`
+
+	// Reduce turns on symmetry and partial-order reduction
+	// (internal/reduce): the topology's automorphism group canonicalizes
+	// failure-decision branches so only one member of each symmetry orbit
+	// is explored (COB), and an activation-independence check lets merged
+	// representatives commute past foreign same-time activations
+	// (COW/SDS). Violations of pruned branches are synthesized back onto
+	// concrete node ids at the end of the run. A pinned (sharded) run
+	// keeps only the automorphisms preserving its pinned decisions, so
+	// canonicalization stays inside its sub-space. Reduction state is
+	// derived and never serialized. Replay runs never reduce.
+	Reduce bool `json:"reduce,omitempty"`
+
+	// NoSpeculation turns the speculative-fork solver pipeline off: every
+	// branch feasibility query is then solved synchronously on the
+	// interpreter thread instead of by the pipeline's one solver worker.
+	// Replay runs never speculate (they take no symbolic branches).
+	NoSpeculation bool `json:"no_speculation,omitempty"`
 }
 
 // Config describes one SDE run.
@@ -151,67 +204,19 @@ type Config struct {
 	// (default 256). Only meaningful with CheckpointDir.
 	CheckpointEvery int
 
-	// DisableSpeculation turns the speculative-fork solver pipeline off:
-	// every branch feasibility query is then solved synchronously on the
-	// interpreter thread. Speculation preserves verdicts, fingerprints,
-	// and test cases bit-for-bit, so disabling it is the first triage step
-	// when a run looks wrong — if the output changes, the pipeline is the
-	// bug. Replay runs never speculate (they take no symbolic branches).
-	DisableSpeculation bool
-
-	// SpecWorkers is the solver worker count of the speculation pipeline:
-	// 0 picks one worker per available CPU; negative values are rejected.
-	SpecWorkers int
-
-	// DisableCompiledIR turns the basic-block compiled fast path off:
-	// every instruction then goes through the per-instruction symbolic
-	// interpreter. Compiled execution preserves fingerprints, forks,
-	// sends, and violations bit-for-bit, so disabling it is the FIRST
-	// triage step when a run looks wrong — before DisableSpeculation and
-	// the query-optimizer switch. The IR is derived at load time and
-	// never serialized, so this flag may differ between a checkpointed
-	// run and its resumption without affecting the outcome.
-	DisableCompiledIR bool
-
-	// EnableMerge turns on ITE-based state merging (internal/merge):
-	// sibling states of one node differing at a bounded number of
-	// locations are fused into one merged representative whose diverging
-	// values become ite(Δ, v1, v2) expressions, and split back into the
-	// exact members at the first non-uniform control decision or
-	// observable instruction. Merging preserves failure fingerprints,
-	// violations, solver queries, and generated test cases bit-for-bit —
-	// it reduces how many live machines exist, not what the run observes —
-	// so turning it OFF is a soundness-triage step ordered after -compile
-	// and before -speculate/-qopt. Off by default; replay runs never
-	// merge (they hold a single concrete path).
-	EnableMerge bool
+	// Features switches the exploration layers (compiled fast path,
+	// merging, reduction, speculation); see Features for the triage order.
+	Features
 
 	// MergeCost overrides the merge-vs-fork cost model (default
-	// merge.DefaultCostModel). Only meaningful with EnableMerge.
+	// merge.DefaultCostModel). Only meaningful with Merge.
 	MergeCost mergepkg.CostModel
-
-	// EnableReduce turns on symmetry and partial-order reduction
-	// (internal/reduce): the topology's automorphism group canonicalizes
-	// failure-decision branches so only one member of each symmetry orbit
-	// is explored (COB), and an activation-independence check lets merged
-	// representatives commute past foreign same-time activations
-	// (COW/SDS). Reduction preserves the violation set — pruned branches'
-	// violations are synthesized back onto concrete node ids at the end
-	// of the run — and per-orbit-representative test cases, but NOT
-	// bit-identity: fewer states are explored, so instruction counts,
-	// solver queries, and fingerprint populations shrink. Turning it OFF
-	// is therefore a soundness-triage step ordered after -merge and
-	// before -speculate/-qopt. Off by default; replay runs never reduce.
-	// Reduction state is derived (group recomputed, seen-set rebuilt
-	// empty on resume) and never serialized; the snapshot format is
-	// unchanged.
-	EnableReduce bool
 
 	// Symmetry declares the per-node asymmetries of the scenario (role
 	// labels, static routes) so reduction can be used with node-aware
 	// programs; see ReduceSymmetry. When nil, the automorphism group is
 	// applied automatically only to node-uniform programs. Only
-	// meaningful with EnableReduce.
+	// meaningful with Reduce.
 	Symmetry *ReduceSymmetry
 }
 
@@ -423,12 +428,9 @@ func newEngineShell(cfg Config) (*Engine, error) {
 	if cfg.SharedSolverCache != nil {
 		sopts.SharedCache = cfg.SharedSolverCache
 	}
-	if cfg.SpecWorkers < 0 {
-		return nil, fmt.Errorf("sim: SpecWorkers must be >= 0 (got %d)", cfg.SpecWorkers)
-	}
 	ctx := vm.NewContextWithSolver(sopts)
 	ctx.Replay = cfg.Replay
-	if cfg.DisableCompiledIR {
+	if cfg.Interpret {
 		ctx.SetCompiledIR(false)
 	} else {
 		// Compile eagerly so the (one-off) CREATE/BUILD cost is paid at
@@ -443,15 +445,11 @@ func newEngineShell(cfg Config) (*Engine, error) {
 		recvFn:   recvFn,
 		started:  time.Now(),
 	}
-	if !cfg.DisableSpeculation && cfg.Replay == nil {
-		workers := cfg.SpecWorkers
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		e.specPool = solver.NewSpecPool(ctx.Solver, workers)
+	if !cfg.NoSpeculation && cfg.Replay == nil {
+		e.specPool = solver.NewSpecPool(ctx.Solver)
 		ctx.SetSpecHooks((*engineHooks)(e))
 	}
-	if cfg.EnableMerge && cfg.Replay == nil {
+	if cfg.Merge && cfg.Replay == nil {
 		e.mergeMgr = mergepkg.NewManager(ctx.Exprs, (*engineHooks)(e), mergepkg.Config{
 			Cost: cfg.MergeCost,
 			SliceStats: func() (uint64, uint64) {
@@ -462,7 +460,7 @@ func newEngineShell(cfg Config) (*Engine, error) {
 		ctx.SetMergeHooks(e.mergeMgr)
 		e.mergeTouched = make(map[int]struct{})
 	}
-	if cfg.EnableReduce && cfg.Replay == nil {
+	if cfg.Reduce && cfg.Replay == nil {
 		if err := validateSymmetry(&cfg); err != nil {
 			return nil, err
 		}
@@ -721,7 +719,6 @@ func (e *Engine) Finish() *Result {
 	if e.specPool != nil {
 		ps := e.specPool.Stats()
 		res.Spec = metrics.SpecStats{
-			Workers:       e.specPool.Workers(),
 			Submitted:     ps.Submitted,
 			Pairs:         ps.Pairs,
 			Assumes:       ps.Assumes,

@@ -61,7 +61,13 @@ var magic = []byte("SDEsnp\x00")
 // and frontier-suspension message kinds, and WireVersion tracks this
 // constant — bumping it makes pre-4 peers reject the handshake instead
 // of misparsing frames they do not know.
-const version = 4
+//
+// version 5 moved the exploration features (compiled IR, merging,
+// reduction, speculation) into the lease's scenario spec and dropped the
+// lease's own feature fields. The snapshot body is again unchanged; the
+// bump makes a pre-5 worker, which would ignore the spec's features and
+// run the job with its own, fail the handshake instead.
+const version = 5
 
 // oldVersion is the oldest format this reader still decodes.
 const oldVersion = 2

@@ -41,13 +41,13 @@ func mergedSnapshot(t *testing.T) (*snap.Snapshot, *expr.Builder) {
 		t.Fatal(err)
 	}
 	eng, err := sim.NewEngine(sim.Config{
-		Topo:        g,
-		Prog:        prog,
-		Algorithm:   core.SDSAlgorithm,
-		Horizon:     120,
-		NodeInit:    nodeInit,
-		Failures:    sim.FailurePlan{DropFirst: sim.NodeSet(route)},
-		EnableMerge: true,
+		Topo:      g,
+		Prog:      prog,
+		Algorithm: core.SDSAlgorithm,
+		Horizon:   120,
+		NodeInit:  nodeInit,
+		Failures:  sim.FailurePlan{DropFirst: sim.NodeSet(route)},
+		Features:  sim.Features{Merge: true},
 	})
 	if err != nil {
 		t.Fatal(err)

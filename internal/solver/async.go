@@ -59,20 +59,20 @@ type SpecPoolStats struct {
 	Pairs        int64 // two-sided branch tasks
 	Assumes      int64 // single-query tasks
 	Elided       int64 // false-side verdicts answered by complement elision
-	Solves       int64 // feasibility queries actually issued by workers
+	Solves       int64 // feasibility queries actually issued by the worker
 	InflightPeak int64 // high-water mark of unresolved tasks
 }
 
-// SpecPool runs speculative feasibility queries on a pool of solver
-// workers. Each worker owns a private incremental CDCL instance and blast
-// context (a Solver slot); workers share only the Solver's striped exact
-// cache, subsumption index, and model pool — there is no global solver
-// mutex on this path.
+// SpecPool runs speculative feasibility queries on one solver worker
+// that overlaps solving with the submitter's execution. The worker owns a
+// private incremental CDCL instance and blast context (a Solver slot);
+// it shares only the Solver's striped exact cache, subsumption index, and
+// model pool — there is no global solver mutex on this path.
 //
-// The task queue is a single shared LIFO stack: the deepest outstanding
-// query — whose prefix subsumes every shallower one still queued — is
-// solved first, so shallower queries resolve by SAT-superset subsumption
-// instead of separate CDCL runs.
+// The task queue is a LIFO stack: the deepest outstanding query — whose
+// prefix subsumes every shallower one still queued — is solved first, so
+// shallower queries resolve by SAT-superset subsumption instead of
+// separate CDCL runs.
 type SpecPool struct {
 	s *Solver
 
@@ -83,28 +83,17 @@ type SpecPool struct {
 	inflight int64
 	stats    SpecPoolStats
 
-	wg      sync.WaitGroup
-	workers int
+	wg sync.WaitGroup
 }
 
-// NewSpecPool starts workers goroutines, each with its own solver slot.
-// workers < 1 is treated as 1.
-func NewSpecPool(s *Solver, workers int) *SpecPool {
-	if workers < 1 {
-		workers = 1
-	}
-	p := &SpecPool{s: s, workers: workers}
+// NewSpecPool starts the pool's worker goroutine with its own solver slot.
+func NewSpecPool(s *Solver) *SpecPool {
+	p := &SpecPool{s: s}
 	p.cond = sync.NewCond(&p.mu)
-	for i := 0; i < workers; i++ {
-		slot := s.NewWorkerSlot()
-		p.wg.Add(1)
-		go p.worker(slot)
-	}
+	p.wg.Add(1)
+	go p.worker(s.NewWorkerSlot())
 	return p
 }
-
-// Workers returns the pool's worker count.
-func (p *SpecPool) Workers() int { return p.workers }
 
 // SubmitPair queues a two-sided branch speculation: decide
 // prefix ∧ cond and (unless elided) prefix ∧ notCond. The prefix slice
@@ -149,7 +138,7 @@ func (p *SpecPool) Stats() SpecPoolStats {
 	return st
 }
 
-// Close drains the queue and stops the workers. Safe to call twice.
+// Close drains the queue and stops the worker. Safe to call twice.
 func (p *SpecPool) Close() {
 	p.mu.Lock()
 	if p.closed {

@@ -16,7 +16,7 @@ func specPoolOpts() Options {
 
 func TestSpecPoolSubmitOne(t *testing.T) {
 	s := NewWithOptions(specPoolOpts())
-	p := NewSpecPool(s, 2)
+	p := NewSpecPool(s)
 	defer p.Close()
 	b := expr.NewBuilder()
 	x := b.Var("x", 8)
@@ -39,7 +39,7 @@ func TestSpecPoolSubmitOne(t *testing.T) {
 
 func TestSpecPoolSubmitPair(t *testing.T) {
 	s := NewWithOptions(specPoolOpts())
-	p := NewSpecPool(s, 2)
+	p := NewSpecPool(s)
 	defer p.Close()
 	b := expr.NewBuilder()
 	x := b.Var("x", 8)
@@ -61,7 +61,7 @@ func TestSpecPoolSubmitPair(t *testing.T) {
 
 func TestSpecPoolComplementElision(t *testing.T) {
 	s := NewWithOptions(specPoolOpts())
-	p := NewSpecPool(s, 1)
+	p := NewSpecPool(s)
 	defer p.Close()
 	b := expr.NewBuilder()
 	x := b.Var("x", 8)
@@ -98,7 +98,7 @@ func TestSpecPoolComplementElision(t *testing.T) {
 func TestSpecPoolLIFODrain(t *testing.T) {
 	const depth = 8
 	s := NewWithOptions(specPoolOpts())
-	p := NewSpecPool(s, 1)
+	p := NewSpecPool(s)
 	defer p.Close()
 	b := expr.NewBuilder()
 
@@ -141,7 +141,7 @@ func TestSpecPoolLIFODrain(t *testing.T) {
 // so the only hard assertions are no deadlock and conserved counters.
 func TestSpecPoolCancel(t *testing.T) {
 	s := NewWithOptions(specPoolOpts())
-	p := NewSpecPool(s, 2)
+	p := NewSpecPool(s)
 	b := expr.NewBuilder()
 	x := b.Var("x", 8)
 
@@ -168,7 +168,7 @@ func TestSpecPoolCancel(t *testing.T) {
 
 func TestSpecPoolCloseTwice(t *testing.T) {
 	s := NewWithOptions(specPoolOpts())
-	p := NewSpecPool(s, 1)
+	p := NewSpecPool(s)
 	p.Close()
 	p.Close() // must not panic or hang
 }

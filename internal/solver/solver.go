@@ -90,8 +90,8 @@ type Options struct {
 	Optimizer *qopt.Optimizer
 	// DisableSlicing turns off independence slicing while keeping the
 	// rest of the optimizer. Per-stage switches exist because shutting
-	// stages off one at a time is the first triage step for a suspected
-	// optimizer soundness bug.
+	// stages off one at a time bisects a suspected optimizer soundness
+	// bug (the last step of the triage order stated on sim.Features).
 	DisableSlicing bool
 	// DisableRewrite turns off the algebraic rewriter (both the
 	// per-constraint fixpoint pass and cross-constraint substitution).

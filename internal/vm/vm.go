@@ -104,9 +104,9 @@ func NewContextWithSolver(opts solver.Options) *Context {
 
 // SetCompiledIR enables or disables the compiled-IR concrete fast path
 // (on by default). Disabling it forces every instruction through the
-// per-instruction interpreter — the first soundness-triage step when a
-// run looks wrong, since the fast path preserves fingerprints, forks,
-// and test cases bit-for-bit.
+// per-instruction interpreter — a soundness-triage step (see
+// sim.Features), since the fast path preserves fingerprints, forks, and
+// test cases bit-for-bit.
 func (c *Context) SetCompiledIR(on bool) { c.compile = on }
 
 // CompiledIR reports whether the concrete fast path is enabled.

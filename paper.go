@@ -407,8 +407,13 @@ func FloodScenario(opts FloodOptions) (Scenario, error) {
 		failures.DropFirst = sim.NodeSet(nodes)
 	}
 	mesh := sim.NewFullMesh(opts.K)
+	// Only the source's role and node id (the flood origin it stamps)
+	// single it out; the forwarders are interchangeable, so reduction
+	// may use the source's stabilizer.
+	labels := make([]uint64, opts.K)
+	labels[fc.Source] = 1
 	return Scenario{
-		shardable: shardableNodes(mesh, 0, failures.DropFirst),
+		shardable: shardableNodes(mesh, fc.Source, failures.DropFirst),
 		desc:      fmt.Sprintf("mesh %d flood, %d packets, %s", opts.K, opts.Packets, opts.Algorithm),
 		cfg: sim.Config{
 			Topo:      mesh,
@@ -418,6 +423,7 @@ func FloodScenario(opts FloodOptions) (Scenario, error) {
 			NodeInit:  fc.NodeInit(),
 			Failures:  failures,
 			Caps:      opts.Caps,
+			Symmetry:  &sim.ReduceSymmetry{Labels: labels},
 		},
 	}, nil
 }

@@ -84,33 +84,6 @@ type ShardConfig struct {
 	// events (0 = the engine default).
 	CheckpointEvery int
 
-	// DisableSpeculation turns the speculative-fork solver pipeline off
-	// in every shard (see Scenario.WithoutSpeculation).
-	DisableSpeculation bool
-
-	// SpecWorkers is the per-shard solver worker count of the speculation
-	// pipeline (0 = the engine default, one per CPU). In a sharded run the
-	// shard pool and the per-shard solver pools multiply, so bounding this
-	// to 1 or 2 avoids oversubscription on small machines. Negative values
-	// are rejected.
-	SpecWorkers int
-
-	// DisableCompiledIR turns the basic-block compiled fast path off in
-	// every shard (see Scenario.WithoutCompiledIR).
-	DisableCompiledIR bool
-
-	// EnableMerge turns ITE-based state merging on in every shard (see
-	// Scenario.WithMerging). Off by default.
-	EnableMerge bool
-
-	// EnableReduce turns symmetry and partial-order reduction on in every
-	// shard (see Scenario.WithReduction). Each shard's reducer keeps only
-	// the automorphisms preserving its pinned decisions, so orbit
-	// canonicalization stays inside the shard's sub-space; the aggregated
-	// report dedupes the synthesized orbit twins across leaves. Off by
-	// default.
-	EnableReduce bool
-
 	// DepthHorizon, when non-zero, adds exploration depth as a second
 	// shard dimension: every work item suspends once its cumulative
 	// processed-event count reaches the next multiple of the horizon and
@@ -336,11 +309,6 @@ func (sc *shardSched) runItem(item workItem) (*Report, map[string]uint64, []byte
 	}
 	cfg.CheckpointEvery = sc.cfg.CheckpointEvery
 	cfg.EventBudget = item.target
-	cfg.DisableSpeculation = sc.cfg.DisableSpeculation
-	cfg.SpecWorkers = sc.cfg.SpecWorkers
-	cfg.DisableCompiledIR = cfg.DisableCompiledIR || sc.cfg.DisableCompiledIR
-	cfg.EnableMerge = cfg.EnableMerge || sc.cfg.EnableMerge
-	cfg.EnableReduce = cfg.EnableReduce || sc.cfg.EnableReduce
 	shard := sc.scenario
 	shard.cfg = cfg
 	shard.desc = fmt.Sprintf("%s [shard %s]", sc.scenario.desc, bitLabel(item))
@@ -468,9 +436,6 @@ func RunScenarioShardedWith(s Scenario, cfg ShardConfig) (*ShardedReport, error)
 	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("sde: Workers must be >= 0 (got %d); 0 means one per CPU", cfg.Workers)
-	}
-	if cfg.SpecWorkers < 0 {
-		return nil, fmt.Errorf("sde: SpecWorkers must be >= 0 (got %d); 0 means the engine default", cfg.SpecWorkers)
 	}
 	armed := append([]int(nil), s.shardable...)
 	sort.Ints(armed)

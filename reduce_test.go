@@ -133,9 +133,8 @@ func TestShardedReduction(t *testing.T) {
 	}
 
 	for _, bits := range []int{1, 2} {
-		sharded, err := sde.RunScenarioShardedWith(scenario, sde.ShardConfig{
-			ShardBits:    bits,
-			EnableReduce: true,
+		sharded, err := sde.RunScenarioShardedWith(scenario.WithReduction(), sde.ShardConfig{
+			ShardBits: bits,
 		})
 		if err != nil {
 			t.Fatal(err)

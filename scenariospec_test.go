@@ -74,6 +74,8 @@ func TestScenarioSpecCombos(t *testing.T) {
 		{Workload: "discovery", Topology: "line:3", Drops: "none"},
 		{Workload: "discovery", Topology: "mesh:3"},
 		{Topology: "grid:3"}, // defaults: collect, sds, route
+		{Workload: "flood", Topology: "mesh:4", Features: sde.Features{
+			Interpret: true, Merge: true, Reduce: true, NoSpeculation: true}},
 	}
 	for _, spec := range good {
 		s, err := spec.Scenario()
@@ -135,6 +137,7 @@ func TestScenarioSpecJSONRoundTrip(t *testing.T) {
 	spec := sde.ScenarioSpec{
 		Workload: "collect", Topology: "grid:3", Algorithm: "cow",
 		Packets: 2, Drops: "none", MaxStates: 100,
+		Features: sde.Features{Merge: true, NoSpeculation: true},
 	}
 	data, err := json.Marshal(spec)
 	if err != nil {
@@ -154,5 +157,37 @@ func TestScenarioSpecJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := min.Scenario(); err != nil {
 		t.Errorf("minimal spec does not materialise: %v", err)
+	}
+	// The features sit at the top level of the object, so the "reduce"
+	// key that predates Features keeps working.
+	var feat sde.ScenarioSpec
+	body := `{"workload":"flood","topology":"mesh:4","interpret":true,"merge":true,"reduce":true,"no_speculation":true}`
+	if err := json.Unmarshal([]byte(body), &feat); err != nil {
+		t.Fatal(err)
+	}
+	if want := (sde.Features{Interpret: true, Merge: true, Reduce: true, NoSpeculation: true}); feat.Features != want {
+		t.Errorf("features = %+v, want %+v", feat.Features, want)
+	}
+}
+
+// TestScenarioSpecString: the log form names every non-default feature,
+// so a job's log line shows how it will run.
+func TestScenarioSpecString(t *testing.T) {
+	base := sde.ScenarioSpec{Workload: "collect", Topology: "grid:3", Algorithm: "cob", Packets: 2, Drops: "route"}
+	all := base
+	all.Features = sde.Features{Interpret: true, Merge: true, Reduce: true, NoSpeculation: true}
+	reduce := base
+	reduce.Reduce = true
+	for _, tt := range []struct {
+		spec sde.ScenarioSpec
+		want string
+	}{
+		{base, "collect/grid:3 algo=cob packets=2 drops=route"},
+		{reduce, "collect/grid:3 algo=cob packets=2 drops=route reduce"},
+		{all, "collect/grid:3 algo=cob packets=2 drops=route interpret merge reduce no_speculation"},
+	} {
+		if got := tt.spec.String(); got != tt.want {
+			t.Errorf("String() = %q, want %q", got, tt.want)
+		}
 	}
 }

@@ -84,6 +84,12 @@ type Caps = sim.Caps
 // FailurePlan selects the symbolic network failures per node.
 type FailurePlan = sim.FailurePlan
 
+// Features are the switchable exploration layers — the compiled fast
+// path, state merging, reduction and speculation — and the one place
+// their soundness-triage order is stated. ScenarioSpec embeds them; the
+// Scenario methods below set them one at a time.
+type Features = sim.Features
+
 // NodeSet builds a FailurePlan membership map from a node list.
 func NodeSet(nodes []int) map[int]bool { return sim.NodeSet(nodes) }
 
@@ -225,11 +231,9 @@ func (s Scenario) WithSolverOptions(o SolverOptions) Scenario {
 // WithoutQueryOptimizer returns a copy of the scenario with all three
 // query-optimizer stages (independence slicing, algebraic rewriting,
 // implied-value concretization) switched off. Optimized and unoptimized
-// runs produce identical test-case sets and state fingerprints, so this
-// switch — and the per-stage SolverOptions flags for finer bisection —
-// is the LAST triage step when a soundness bug is suspected, after
-// WithoutCompiledIR, WithoutMerging, WithoutReduction, and
-// WithoutSpeculation.
+// runs produce identical test-case sets and state fingerprints; this is
+// the last step of the triage order (see Features), and the per-stage
+// SolverOptions flags bisect further.
 func (s Scenario) WithoutQueryOptimizer() Scenario {
 	s.cfg.Solver.DisableSlicing = true
 	s.cfg.Solver.DisableRewrite = true
@@ -237,91 +241,54 @@ func (s Scenario) WithoutQueryOptimizer() Scenario {
 	return s
 }
 
-// WithSpeculation returns a copy of the scenario with the speculative-fork
-// solver pipeline enabled and its worker-pool size set (0 = one worker per
-// CPU). Speculation is on by default; use this to tune the pool.
-func (s Scenario) WithSpeculation(workers int) Scenario {
-	s.cfg.DisableSpeculation = false
-	s.cfg.SpecWorkers = workers
-	return s
-}
-
 // WithoutSpeculation returns a copy of the scenario that resolves every
-// branch feasibility query synchronously, with no speculative execution.
-// Speculative and synchronous runs produce bit-identical state
-// fingerprints, dscenario sets, and test cases, so this switch is the
-// FOURTH triage step when a soundness bug is suspected — after
-// WithoutCompiledIR, WithoutMerging, and WithoutReduction, before
-// WithoutQueryOptimizer.
+// branch feasibility query synchronously, with no speculative execution
+// (Features.NoSpeculation). Speculative and synchronous runs produce
+// bit-identical state fingerprints, dscenario sets, and test cases; see
+// Features for where this sits in the triage order.
 func (s Scenario) WithoutSpeculation() Scenario {
-	s.cfg.DisableSpeculation = true
+	s.cfg.NoSpeculation = true
 	return s
 }
 
 // WithoutCompiledIR returns a copy of the scenario that executes every
 // instruction through the per-instruction symbolic interpreter, with no
-// basic-block fast path. Compiled and interpreted runs produce
-// bit-identical state fingerprints, dscenario sets, and test cases, so
-// this switch is the FIRST triage step when a soundness bug is suspected
-// — before WithoutMerging, WithoutReduction, WithoutSpeculation, and
-// WithoutQueryOptimizer, since the compiled path sits below all of them.
+// basic-block fast path (Features.Interpret). Compiled and interpreted
+// runs produce bit-identical state fingerprints, dscenario sets, and test
+// cases; see Features for where this sits in the triage order.
 func (s Scenario) WithoutCompiledIR() Scenario {
-	s.cfg.DisableCompiledIR = true
+	s.cfg.Interpret = true
 	return s
 }
 
 // WithMerging returns a copy of the scenario with ITE-based state merging
-// enabled: at event boundaries, sibling states of a node whose memories
-// and registers differ at a bounded number of locations fuse into one
-// representative whose differing values become ite(pathΔ, v1, v2)
-// expressions over a disjoined path condition. The representative
-// executes shared events once and splits back into its exact members at
-// the first divergent or observable point, so merged and unmerged runs
-// produce bit-identical state fingerprints, dscenario sets, violations,
-// and test cases — only the instruction count shrinks. Merging is off by
-// default.
+// enabled (Features.Merge): at event boundaries, sibling states of a node
+// whose memories and registers differ at a bounded number of locations
+// fuse into one representative whose differing values become
+// ite(pathΔ, v1, v2) expressions over a disjoined path condition. The
+// representative executes shared events once and splits back into its
+// exact members at the first divergent or observable point, so merged and
+// unmerged runs produce bit-identical state fingerprints, dscenario sets,
+// violations, and test cases — only the instruction count shrinks.
 func (s Scenario) WithMerging() Scenario {
-	s.cfg.EnableMerge = true
-	return s
-}
-
-// WithoutMerging returns a copy of the scenario with state merging
-// disabled (the default). Because merged and unmerged runs are
-// bit-identical, this switch is the SECOND triage step when a soundness
-// bug is suspected — after WithoutCompiledIR and before WithoutReduction,
-// WithoutSpeculation, and WithoutQueryOptimizer, since merging sits above
-// the compiled path but below the solver pipeline.
-func (s Scenario) WithoutMerging() Scenario {
-	s.cfg.EnableMerge = false
+	s.cfg.Merge = true
 	return s
 }
 
 // WithReduction returns a copy of the scenario with symmetry and
-// partial-order reduction enabled: the topology's automorphism group
-// (stabilized by the scenario's declared SymmetrySpec, if any)
-// canonicalizes failure-decision branches so only one representative of
-// each symmetry orbit is explored, and an activation-independence check
-// lets merged representatives commute past unrelated same-time
-// activations. Reduction preserves the violation set — violations of
-// pruned branches are synthesized back onto their concrete node ids at
-// the end of the run, marked Synthesized — and one test case per orbit,
-// but unlike merging it is NOT bit-identical: the explored state count,
-// instruction count, and fingerprint population shrink. Reduction is off
-// by default.
+// partial-order reduction enabled (Features.Reduce): the topology's
+// automorphism group (stabilized by the scenario's declared SymmetrySpec,
+// if any) canonicalizes failure-decision branches so only one
+// representative of each symmetry orbit is explored, and an
+// activation-independence check lets merged representatives commute past
+// unrelated same-time activations. Reduction preserves the violation set
+// — violations of pruned branches are synthesized back onto their
+// concrete node ids at the end of the run, marked Synthesized — and one
+// test case per orbit, but unlike merging it is NOT bit-identical: the
+// explored state count, instruction count, and fingerprint population
+// shrink.
 func (s Scenario) WithReduction() Scenario {
-	s.cfg.EnableReduce = true
-	return s
-}
-
-// WithoutReduction returns a copy of the scenario with symmetry reduction
-// disabled (the default). Because reduction preserves the violation set
-// but not bit-identity, this switch is the THIRD triage step when a
-// soundness bug is suspected — after WithoutCompiledIR and WithoutMerging,
-// before WithoutSpeculation and WithoutQueryOptimizer: if turning
-// reduction off changes the VIOLATION SET, the reduction layer is the
-// bug; state-count differences alone are expected and benign.
-func (s Scenario) WithoutReduction() Scenario {
-	s.cfg.EnableReduce = false
+	s.cfg.Reduce = true
 	return s
 }
 

@@ -132,21 +132,6 @@ type LeaseOptions struct {
 	// CheckpointEvery is the checkpoint interval in processed events
 	// (0 = the engine default).
 	CheckpointEvery int
-	// DisableSpeculation and SpecWorkers tune the per-lease speculative
-	// solver pipeline (see ShardConfig).
-	DisableSpeculation bool
-	SpecWorkers        int
-	// DisableCompiledIR turns the basic-block compiled fast path off for
-	// this lease (see Scenario.WithoutCompiledIR).
-	DisableCompiledIR bool
-	// EnableMerge turns ITE-based state merging on for this lease (see
-	// Scenario.WithMerging). Off by default.
-	EnableMerge bool
-	// EnableReduce turns symmetry and partial-order reduction on for this
-	// lease (see Scenario.WithReduction). The lease's reducer keeps only
-	// automorphisms preserving its pinned decisions, so canonicalization
-	// stays inside the leased sub-space. Off by default.
-	EnableReduce bool
 	// Progress, when non-nil, is polled during the run with the live
 	// state count and elapsed wall time; returning true stops the run
 	// (LeaseOutcome.Stopped) — how a worker honours a straggler re-split
@@ -208,20 +193,12 @@ func RunShardLease(s Scenario, it ShardItem, opts LeaseOptions) (*LeaseOutcome, 
 	if opts.CheckpointDir == "" {
 		return nil, fmt.Errorf("sde: RunShardLease needs a checkpoint directory")
 	}
-	if opts.SpecWorkers < 0 {
-		return nil, fmt.Errorf("sde: SpecWorkers must be >= 0 (got %d)", opts.SpecWorkers)
-	}
 	shard := s
 	cfg := s.cfg
 	cfg.Pin = s.shardPin(it)
 	cfg.Progress = opts.Progress
 	cfg.CheckpointEvery = opts.CheckpointEvery
 	cfg.EventBudget = opts.EventTarget
-	cfg.DisableSpeculation = opts.DisableSpeculation
-	cfg.SpecWorkers = opts.SpecWorkers
-	cfg.DisableCompiledIR = cfg.DisableCompiledIR || opts.DisableCompiledIR
-	cfg.EnableMerge = cfg.EnableMerge || opts.EnableMerge
-	cfg.EnableReduce = cfg.EnableReduce || opts.EnableReduce
 	shard.cfg = cfg
 	shard.desc = fmt.Sprintf("%s [shard %s]", s.desc, it.Label())
 	report, suspend, err := runShardItem(shard, opts.CheckpointDir, it.Cont, opts.Continuation)

@@ -46,16 +46,30 @@ type ScenarioSpec struct {
 	Iters uint32 `json:"iters,omitempty"`
 	// MaxStates aborts the run when live states exceed it (0 = unlimited).
 	MaxStates int `json:"max_states,omitempty"`
-	// Reduce turns symmetry and partial-order reduction on for the run
-	// (Scenario.WithReduction). Reduction preserves the violation set and
-	// per-orbit-representative test cases but not bit-identity.
-	Reduce bool `json:"reduce,omitempty"`
+	// Features switches the exploration layers for the run; the zero
+	// value is the default. Its fields sit at the top level of the JSON
+	// object ("interpret", "merge", "reduce", "no_speculation").
+	Features
 }
 
-// String renders the spec compactly for logs.
+// String renders the spec compactly for logs, naming every feature that
+// differs from the default by its JSON key.
 func (sp ScenarioSpec) String() string {
-	return fmt.Sprintf("%s/%s algo=%s packets=%d drops=%s",
+	s := fmt.Sprintf("%s/%s algo=%s packets=%d drops=%s",
 		sp.Workload, sp.Topology, sp.Algorithm, sp.Packets, sp.Drops)
+	if sp.Interpret {
+		s += " interpret"
+	}
+	if sp.Merge {
+		s += " merge"
+	}
+	if sp.Reduce {
+		s += " reduce"
+	}
+	if sp.NoSpeculation {
+		s += " no_speculation"
+	}
+	return s
 }
 
 // ParseAlgorithm maps a case-insensitive algorithm name (cob, cow, sds)
@@ -125,9 +139,10 @@ func addFailureNode(set map[int]bool, node int) map[int]bool {
 }
 
 // Scenario materialises the spec through the matching built-in
-// constructor. Two processes materialising the same spec get scenarios
-// whose explorations are bit-identical — the foundation of the
-// coordinator/worker protocol.
+// constructor and applies its features — the one path by which sde-run,
+// the job API, sde-serve -oracle and every lease configure a run. Two
+// processes materialising the same spec get scenarios whose explorations
+// are bit-identical — the foundation of the coordinator/worker protocol.
 func (sp ScenarioSpec) Scenario() (Scenario, error) {
 	algoName := sp.Algorithm
 	if algoName == "" {
@@ -229,8 +244,6 @@ func (sp ScenarioSpec) Scenario() (Scenario, error) {
 	if sp.MaxStates > 0 {
 		s = s.WithCaps(Caps{MaxStates: sp.MaxStates})
 	}
-	if sp.Reduce {
-		s = s.WithReduction()
-	}
+	s.cfg.Features = sp.Features
 	return s, nil
 }

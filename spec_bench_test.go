@@ -10,10 +10,10 @@ import (
 // BenchmarkSpeculativePipeline is the speculative-fork pipeline's
 // acceptance benchmark: the entangled assume-chain workload (see
 // SpeculationWorkloadScenario) run synchronously versus through the
-// asynchronous pipeline at several worker counts. The speedup is
-// algorithmic, not just parallel — deferring a chain of d assumes to one
-// barrier turns d incremental solves into one deep solve plus d-1
-// subsumption hits — so it survives single-core machines.
+// asynchronous pipeline. The speedup is algorithmic, not parallel —
+// deferring a chain of d assumes to one barrier turns d incremental
+// solves into one deep solve plus d-1 subsumption hits — so it survives
+// single-core machines.
 func BenchmarkSpeculativePipeline(b *testing.B) {
 	build := func() sde.Scenario {
 		s, err := sde.SpeculationWorkloadScenario(sde.SpeculationWorkloadOptions{
@@ -32,9 +32,7 @@ func BenchmarkSpeculativePipeline(b *testing.B) {
 		scenario func() sde.Scenario
 	}{
 		{"sync", func() sde.Scenario { return build().WithoutSpeculation() }},
-		{"spec-w1", func() sde.Scenario { return build().WithSpeculation(1) }},
-		{"spec-w2", func() sde.Scenario { return build().WithSpeculation(2) }},
-		{"spec-w4", func() sde.Scenario { return build().WithSpeculation(4) }},
+		{"spec", build},
 	}
 	for _, mode := range modes {
 		mode := mode

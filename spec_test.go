@@ -98,25 +98,17 @@ func TestSpeculationSoundness(t *testing.T) {
 	}
 }
 
-// TestNegativeWorkerRejection: negative worker counts must be rejected
-// with a clear error at every public layer instead of silently falling
-// back to a default pool size.
+// TestNegativeWorkerRejection: a negative shard worker count must be
+// rejected with a clear error instead of silently falling back to a
+// default pool size.
 func TestNegativeWorkerRejection(t *testing.T) {
 	s, err := sde.ThresholdScenario(sde.ThresholdOptions{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sde.RunScenario(s.WithSpeculation(-1)); err == nil ||
-		!strings.Contains(err.Error(), "SpecWorkers") {
-		t.Errorf("RunScenario with SpecWorkers=-1 returned %v", err)
-	}
 	if _, err := sde.RunScenarioShardedWith(s, sde.ShardConfig{Workers: -2}); err == nil ||
 		!strings.Contains(err.Error(), "Workers") {
 		t.Errorf("sharded run with Workers=-2 returned %v", err)
-	}
-	if _, err := sde.RunScenarioShardedWith(s, sde.ShardConfig{SpecWorkers: -1}); err == nil ||
-		!strings.Contains(err.Error(), "SpecWorkers") {
-		t.Errorf("sharded run with SpecWorkers=-1 returned %v", err)
 	}
 }
 
@@ -140,7 +132,7 @@ func TestSpeculationWorkloadSoundness(t *testing.T) {
 		}
 		return s
 	}
-	on, onCases := runForDiff(t, build().WithSpeculation(2))
+	on, onCases := runForDiff(t, build())
 	off, offCases := runForDiff(t, build().WithoutSpeculation())
 	if on.SpecStats().Submitted == 0 {
 		t.Error("workload run submitted no speculations")
