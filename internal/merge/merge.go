@@ -45,6 +45,10 @@ type Driver interface {
 	// ScheduleIdle (re-)schedules a quiescent state on the event heap; a
 	// no-op for states with no pending events.
 	ScheduleIdle(s *vm.State)
+	// MachineChanged reports a state whose machine the manager built,
+	// froze, rebuilt or discarded: a new or retired rep, a frozen or
+	// re-materialized member. The engine re-reads its footprint.
+	MachineChanged(s *vm.State)
 }
 
 // Config parameterizes the manager.
@@ -301,6 +305,7 @@ func (m *Manager) tryFuse(a, b *vm.State) (*vm.State, bool) {
 	if away := m.MergedAway(); away > m.stats.PeakMerged {
 		m.stats.PeakMerged = away
 	}
+	m.drv.MachineChanged(rep)
 	m.drv.ScheduleIdle(rep)
 	return rep, true
 }
@@ -314,6 +319,7 @@ func (m *Manager) absorb(side *vm.State, sideSub map[*expr.Expr]*expr.Expr, side
 	old, wasRep := m.reps[side]
 	if !wasRep {
 		side.MergeFreeze()
+		m.drv.MachineChanged(side)
 		return []*member{{
 			st:        side,
 			sub:       sideSub,
@@ -351,6 +357,7 @@ func (m *Manager) absorb(side *vm.State, sideSub map[*expr.Expr]*expr.Expr, side
 	}
 	delete(m.reps, side)
 	side.MergeDiscard()
+	m.drv.MachineChanged(side)
 	return out
 }
 
@@ -461,9 +468,11 @@ func (m *Manager) dissolve(r *repRec, adjust uint64) {
 	for _, mb := range r.members {
 		mb.st.AdoptMergedMachine(r.st, mb.sub, mb.memo, r.extraSteps(mb)-adjust)
 		delete(m.byMem, mb.st)
+		m.drv.MachineChanged(mb.st)
 	}
 	delete(m.reps, r.st)
 	r.st.MergeDiscard()
+	m.drv.MachineChanged(r.st)
 	m.stats.Splits++
 }
 

@@ -196,6 +196,7 @@ func resumeSnapshot(cfg Config, data []byte, seg, of int) (*Engine, error) {
 	e.resumed = true
 	for _, s := range states {
 		e.scheduleHeap(s)
+		e.track(s)
 	}
 	// Re-link the merged frontier. A resume with merging disabled adopts
 	// the reps into a throwaway manager and splits them immediately — the
@@ -229,6 +230,7 @@ func resumeSnapshot(cfg Config, data []byte, seg, of int) (*Engine, error) {
 			}
 			if e.mergeMgr != nil {
 				e.scheduleHeap(rep)
+				e.touch(rep)
 			}
 		}
 		if e.mergeMgr == nil {

@@ -349,6 +349,18 @@ type Engine struct {
 	reduceChecks uint64 // failure decisions the reducer was consulted on
 	reducePins   uint64 // decisions pinned instead of forked
 	porCommutes  uint64 // merged executions allowed by the independence check
+
+	// Modeled-RAM accounting (see memBytes). overhead is the running sum
+	// of OverheadBytes over the state table (acct) and the live merged
+	// reps (repAcct), each map caching a state's last counted value;
+	// dirty lists the states touched since the last settleMem.
+	overhead int64
+	acct     map[*vm.State]int
+	repAcct  map[*vm.State]int
+	dirty    []*vm.State
+	// memProbe, set only by tests, sees every footprint read (after each
+	// event, at each sample and at Finish) and returns the value used.
+	memProbe func(running int64) int64
 }
 
 // defaultCheckpointEvery is the checkpoint interval (in processed events)
@@ -441,6 +453,8 @@ func newEngineShell(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		ctx:      ctx,
 		entrySeq: make(map[*vm.State]uint64),
+		acct:     make(map[*vm.State]int),
+		repAcct:  make(map[*vm.State]int),
 		bootFn:   bootFn,
 		recvFn:   recvFn,
 		started:  time.Now(),
@@ -493,6 +507,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.states = append(e.states, s)
 		mapper.Register(s)
 		e.scheduleHeap(s)
+		e.track(s)
 	}
 	e.peakStates = len(e.states)
 	return e, nil
@@ -526,6 +541,7 @@ func (e *Engine) adopt(states []*vm.State) {
 	for _, s := range states {
 		e.states = append(e.states, s)
 		e.scheduleHeap(s)
+		e.track(s)
 		if e.mergeTouched != nil {
 			e.mergeTouched[s.NodeID()] = struct{}{}
 		}
@@ -614,9 +630,11 @@ func (e *Engine) Step() bool {
 			e.maybeMergeScan()
 		}
 		e.events++
+		mem := e.memBytes()
 		if e.cfg.SampleEvery > 0 && e.events%uint64(e.cfg.SampleEvery) == 0 {
-			e.sample()
+			e.sample(mem)
 		}
+		e.checkMemCap(mem)
 		if e.err == nil && e.cfg.CheckpointDir != "" && e.events != e.lastCkpt &&
 			e.events%uint64(e.cfg.CheckpointEvery) == 0 {
 			// Between Steps every state is at an event boundary (idle,
@@ -672,7 +690,9 @@ func (e *Engine) Run() (*Result, error) {
 // once, after Step has returned false.
 func (e *Engine) Finish() *Result {
 	e.closeSpecPool()
-	e.sample()
+	mem := e.memBytes()
+	e.sample(mem)
+	e.checkMemCap(mem)
 	// Dissolve the merged frontier before result assembly: scenario
 	// explosion, test-case generation, and fingerprint collection must see
 	// the exact member states. The final sample above still captures the
@@ -680,7 +700,7 @@ func (e *Engine) Finish() *Result {
 	if e.mergeMgr != nil {
 		e.mergeMgr.SplitAllIdle()
 	}
-	mem := e.modelBytes()
+	mem = e.memBytes()
 	res := &Result{
 		Algorithm:    e.cfg.Algorithm,
 		Topology:     e.cfg.Topo.Name(),
@@ -794,14 +814,23 @@ func (e *Engine) capExceeded() string {
 	if c.MaxWall > 0 && e.priorWall+time.Since(e.started) > c.MaxWall {
 		return fmt.Sprintf("wall-time cap exceeded (%v)", c.MaxWall)
 	}
-	// The memory cap is checked on sampling ticks (see sample), since
-	// computing the modeled footprint walks all states.
+	// The memory cap is checked right after every event (checkMemCap).
 	return ""
+}
+
+// checkMemCap aborts the run when the modeled footprint exceeds
+// Caps.MaxMemBytes.
+func (e *Engine) checkMemCap(mem int64) {
+	if c := e.cfg.Caps.MaxMemBytes; c > 0 && mem > c {
+		e.abort(fmt.Sprintf("memory cap exceeded (%s > %s)",
+			metrics.FormatBytes(mem), metrics.FormatBytes(c)))
+	}
 }
 
 // processEvent applies the failure models, runs the event's handler to
 // completion, and drains the branch siblings this produced.
 func (e *Engine) processEvent(s *vm.State) {
+	e.touch(s)
 	e.applyFailures(s)
 	if s.Status() != vm.StatusIdle {
 		return
@@ -1074,6 +1103,7 @@ func (e *Engine) deliverUnicast(s *vm.State, dst int, payload []*expr.Expr) {
 	senderPC := s.PathCond()
 	seq := s.RecordSend(uint32(dst), e.clock, payloadHash)
 	for _, r := range del.Receivers {
+		e.touch(r)
 		if e.mergeTouched != nil {
 			e.mergeTouched[r.NodeID()] = struct{}{}
 		}
@@ -1104,9 +1134,8 @@ func payloadDigest(payload []*expr.Expr) uint64 {
 	return h
 }
 
-// sample records a metrics point and enforces the memory cap.
-func (e *Engine) sample() {
-	mem := e.modelBytes()
+// sample records a metrics point; mem is the current modeled footprint.
+func (e *Engine) sample(mem int64) {
 	if mem > e.peakMem {
 		e.peakMem = mem
 	}
@@ -1136,10 +1165,6 @@ func (e *Engine) sample() {
 		sm.ReducePins = e.reducePins
 	}
 	e.series.Add(sm)
-	if c := e.cfg.Caps.MaxMemBytes; c > 0 && mem > c {
-		e.abort(fmt.Sprintf("memory cap exceeded (%s > %s)",
-			metrics.FormatBytes(mem), metrics.FormatBytes(c)))
-	}
 }
 
 // nodeImageBytes models the per-node program image (the paper's runs
@@ -1147,31 +1172,59 @@ func (e *Engine) sample() {
 // growth).
 const nodeImageBytes = 64 << 10
 
-// modelBytes computes the modeled RAM footprint: every distinct COW page
-// counted once plus per-state bookkeeping overhead. This mirrors what the
+// memBytes returns the modeled RAM footprint: every live COW page counted
+// once, plus per-state bookkeeping overhead over the state table and the
+// merged reps, plus the per-node program images. This mirrors what the
 // paper's RSS curves measure — the marginal cost of duplicate states.
-func (e *Engine) modelBytes() int64 {
-	pages := make(map[uint64]struct{}, 1024)
-	var total int64
-	count := func(s *vm.State) {
-		total += int64(s.OverheadBytes())
-		s.ForEachPage(func(id uint64, bytes int) {
-			if _, ok := pages[id]; !ok {
-				pages[id] = struct{}{}
-				total += int64(bytes)
-			}
-		})
+// Both totals are kept current as the run goes: the VM context counts
+// pages as they gain their first reference and lose their last, and
+// settleMem re-reads the overhead of only the states touched since the
+// last read. Dead states keep their pages and overhead (Kill does not
+// release them).
+func (e *Engine) memBytes() int64 {
+	e.settleMem()
+	total := e.ctx.LivePages()*vm.PageBytes + e.overhead + int64(e.cfg.Topo.K())*nodeImageBytes
+	if e.memProbe != nil {
+		total = e.memProbe(total)
 	}
-	for _, s := range e.states {
-		count(s)
-	}
-	// Merged reps live outside the state table but their machines are the
-	// footprint that replaces their members' (frozen shells share nothing).
-	if e.mergeMgr != nil {
-		e.mergeMgr.ForEachRep(count)
-	}
-	total += int64(e.cfg.Topo.K()) * nodeImageBytes
 	return total
+}
+
+// track adds a state to the table's overhead accounting.
+func (e *Engine) track(s *vm.State) {
+	e.acct[s] = 0
+	e.touch(s)
+}
+
+// touch marks a state whose overhead may have changed: the state an
+// event starts on, every receiver of a delivery, and every state the
+// merge manager freezes, rebuilds or discards. Forks are tracked on
+// adoption, and everything else an event runs is one of these.
+func (e *Engine) touch(s *vm.State) { e.dirty = append(e.dirty, s) }
+
+// settleMem folds the overhead changes of the touched states into the
+// running total. A touched state that is neither in the table nor a live
+// rep is a retired rep and leaves the total.
+func (e *Engine) settleMem() {
+	for _, s := range e.dirty {
+		if old, ok := e.acct[s]; ok {
+			n := s.OverheadBytes()
+			e.overhead += int64(n - old)
+			e.acct[s] = n
+			continue
+		}
+		old, had := e.repAcct[s]
+		switch {
+		case e.mergeMgr != nil && e.mergeMgr.IsRep(s):
+			n := s.OverheadBytes()
+			e.overhead += int64(n - old)
+			e.repAcct[s] = n
+		case had:
+			e.overhead -= int64(old)
+			delete(e.repAcct, s)
+		}
+	}
+	e.dirty = e.dirty[:0]
 }
 
 // engineHooks adapts *Engine to vm.Hooks without exporting the methods on

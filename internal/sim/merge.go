@@ -165,3 +165,5 @@ func (h *engineHooks) ScheduleIdle(s *vm.State) {
 	e.scheduleHeap(s)
 	e.mergeWake()
 }
+
+func (h *engineHooks) MachineChanged(s *vm.State) { (*Engine)(h).touch(s) }

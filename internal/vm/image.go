@@ -188,7 +188,7 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][]*e
 		prog:     prog,
 		id:       img.ID,
 		node:     img.Node,
-		mem:      newMemory(),
+		mem:      newMemory(ctx),
 		fn:       img.Fn,
 		pc:       img.PC,
 		status:   img.Status,
@@ -247,6 +247,7 @@ func restoreState(ctx *Context, prog *isa.Program, img *StateImage, pages [][]*e
 			p = &page{id: pageIDSeq.Add(1)}
 			copy(p.words[:], pages[ref.Page])
 			shared[ref.Page] = p
+			ctx.livePages.Add(1)
 		}
 		p.ref++
 		s.mem.pages[ref.MemIndex] = p

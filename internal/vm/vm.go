@@ -71,6 +71,12 @@ type Context struct {
 	instrCount  atomic.Uint64
 	forkCount   atomic.Uint64
 
+	// livePages counts the distinct memory pages referenced by at least
+	// one state of this context (ref > 0): it goes up when a page is
+	// created and down when its last reference is released, so the modeled
+	// RAM footprint reads it instead of recounting every state's pages.
+	livePages atomic.Int64
+
 	// Fast-path telemetry: block executions taken by the concrete
 	// straight-line path, block entries that fell back to the
 	// interpreter, and instructions answered from load-time constant
@@ -132,6 +138,12 @@ func (c *Context) Instructions() uint64 { return c.instrCount.Load() }
 // Forks returns the total number of local symbolic branches taken.
 func (c *Context) Forks() uint64 { return c.forkCount.Load() }
 
+// LivePages returns the number of distinct memory pages referenced by at
+// least one state of this context. Shared copy-on-write pages count once,
+// which is how duplicate states share object memory in KLEE. States that
+// are dropped without Release keep their pages live.
+func (c *Context) LivePages() int64 { return c.livePages.Load() }
+
 func (c *Context) newStateID() uint64 { return c.nextStateID.Add(1) }
 
 // --- copy-on-write memory ---------------------------------------------------
@@ -160,14 +172,17 @@ type page struct {
 	words [pageWords]*expr.Expr // nil = zero
 }
 
-// memory is a copy-on-write paged store of symbolic words. The zero value
-// is an empty memory where every word reads as concrete 0.
+// memory is a copy-on-write paged store of symbolic words; a missing word
+// reads as concrete 0. live is the owning context's live-page count, which
+// the memory keeps current as pages gain their first reference and lose
+// their last.
 type memory struct {
 	pages map[uint32]*page
+	live  *atomic.Int64
 }
 
-func newMemory() memory {
-	return memory{pages: make(map[uint32]*page, 8)}
+func newMemory(c *Context) memory {
+	return memory{pages: make(map[uint32]*page, 8), live: &c.livePages}
 }
 
 func (m *memory) clone() memory {
@@ -176,7 +191,7 @@ func (m *memory) clone() memory {
 		p.ref++
 		pages[k] = p
 	}
-	return memory{pages: pages}
+	return memory{pages: pages, live: m.live}
 }
 
 func (m *memory) load(addr uint32) *expr.Expr {
@@ -194,18 +209,27 @@ func (m *memory) store(addr uint32, v *expr.Expr) {
 	case p == nil:
 		p = &page{id: pageIDSeq.Add(1), ref: 1}
 		m.pages[idx] = p
+		m.live.Add(1)
 	case p.ref > 1:
 		clone := &page{id: pageIDSeq.Add(1), ref: 1, words: p.words}
 		p.ref--
 		m.pages[idx] = clone
 		p = clone
+		m.live.Add(1)
 	}
 	p.words[addr&pageMask] = v
 }
 
 func (m *memory) release() {
+	var freed int64
 	for _, p := range m.pages {
 		p.ref--
+		if p.ref == 0 {
+			freed++
+		}
+	}
+	if freed > 0 {
+		m.live.Add(-freed)
 	}
 	m.pages = nil
 }
@@ -375,7 +399,7 @@ func NewState(ctx *Context, prog *isa.Program, node int) *State {
 		prog:   prog,
 		id:     ctx.newStateID(),
 		node:   node,
-		mem:    newMemory(),
+		mem:    newMemory(ctx),
 		status: StatusIdle,
 		fn:     -1,
 		sess:   ctx.Solver.NewSession(),
@@ -483,9 +507,9 @@ func (s *State) LoadWord(addr uint32) *expr.Expr { return s.loadWord(addr) }
 
 // ForEachPage calls f once per resident memory page with a stable identity
 // and the page's modeled byte size. Shared pages yield the same identity
-// from every state that references them, which lets the metrics layer
-// count them once — reproducing how duplicate states share object memory
-// in KLEE while still paying per-state overhead.
+// from every state that references them, which lets a full recount count
+// them once. The engine reads Context.LivePages instead; the recount is
+// its test oracle.
 func (s *State) ForEachPage(f func(id uint64, bytes int)) {
 	for _, p := range s.mem.pages {
 		f(p.id, PageBytes)
