@@ -124,49 +124,35 @@ func TestDepthHorizonDigestDeterministic(t *testing.T) {
 	}
 }
 
-// leaseAllDepth drives the worker path by hand: a queue of work items
-// executed through RunShardLease with the coordinator's exact fan-out
-// rule (clamp the configured fanout to the suspended frontier's units,
-// floor 1), collecting finished leaves for assembly.
+// leaseAllDepth drives the worker path by hand: a ShardQueue of the
+// partition, each popped item executed through RunShardLease and handed
+// back the way the coordinator hands it back, collecting finished leaves
+// for assembly.
 func leaseAllDepth(t *testing.T, s sde.Scenario, root string, horizon uint64, fanout int) []sde.ShardLeaf {
 	t.Helper()
-	type qitem struct {
-		item   sde.ShardItem
-		target uint64
-		parent []byte
+	q, err := sde.NewShardQueue(s, sde.ShardConfig{DepthHorizon: horizon, HorizonFanout: fanout})
+	if err != nil {
+		t.Fatal(err)
 	}
-	queue := []qitem{{item: sde.ShardItem{}, target: horizon}}
 	var leaves []sde.ShardLeaf
-	for len(queue) > 0 {
-		q := queue[0]
-		queue = queue[1:]
-		out, err := sde.RunShardLease(s, q.item, sde.LeaseOptions{
-			CheckpointDir: filepath.Join(root, q.item.Dir()),
-			EventTarget:   q.target,
-			Continuation:  q.parent,
+	for task := q.Pop(); task != nil; task = q.Pop() {
+		out, err := sde.RunShardLease(s, task.Item, sde.LeaseOptions{
+			CheckpointDir: filepath.Join(root, task.Item.Dir()),
+			EventTarget:   task.Target,
+			Continuation:  task.Parent(),
 		})
 		if err != nil {
-			t.Fatalf("lease %s: %v", q.item.Label(), err)
+			t.Fatalf("lease %s: %v", task.Item.Label(), err)
 		}
-		if !out.Suspended {
-			leaves = append(leaves, sde.ShardLeaf{Item: q.item, Snapshot: out.Snapshot})
+		if out.Suspended {
+			q.Suspend(task, out.Units, out.Events, out.Snapshot)
 			continue
 		}
-		f := fanout
-		if f > out.Units {
-			f = out.Units
-		}
-		if f < 1 {
-			f = 1
-		}
-		for seg := 0; seg < f; seg++ {
-			cont := append(append([]sde.ContStep(nil), q.item.Cont...), sde.ContStep{Seg: seg, Of: f})
-			queue = append(queue, qitem{
-				item:   sde.ShardItem{Depth: q.item.Depth, Bits: q.item.Bits, Cont: cont},
-				target: out.Events + horizon,
-				parent: out.Snapshot,
-			})
-		}
+		leaves = append(leaves, sde.ShardLeaf{Item: task.Item, Snapshot: out.Snapshot})
+		q.Complete(task)
+	}
+	if !q.Done() || q.Blobs() != 0 {
+		t.Fatalf("queue drained but not done: done=%v blobs=%d", q.Done(), q.Blobs())
 	}
 	return leaves
 }

@@ -58,50 +58,27 @@ type Coordinator struct {
 }
 
 type job struct {
-	id            string
-	spec          sde.ScenarioSpec
-	shardBits     int
-	testCases     int
-	depthHorizon  uint64
-	horizonFanout int
-	scenario      sde.Scenario
-	state         string
-	queue         []queued
-	outstanding   map[uint64]bool
-	leaves        []sde.ShardLeaf
-	// conts holds suspended frontiers by id, reference-counted by the
-	// continuation items that still need them: a blob is freed when its
-	// last slice completes (or suspends again), and wholesale when the
-	// job reaches a terminal state.
-	conts    map[uint64]*contBlob
-	nextCont uint64
-	report   *sde.ShardedReport
-	digest   string
-	errMsg   string
-	done     chan struct{}
-}
-
-// queued is one queue entry: the item plus its depth-dimension context —
-// the absolute event count of its next horizon and, for continuation
-// items, the id of the suspended parent frontier it resumes from.
-type queued struct {
-	item   sde.ShardItem
-	target uint64
-	contID uint64
-}
-
-// contBlob is a suspended frontier held for its continuation items.
-type contBlob struct {
-	data []byte
-	refs int
+	id        string
+	spec      sde.ScenarioSpec
+	shardBits int
+	testCases int
+	scenario  sde.Scenario
+	state     string
+	// queue holds the job's partition: pending items, the in-flight count
+	// and the suspended frontiers continuation items resume from. It is
+	// dropped when the job is cancelled.
+	queue  *sde.ShardQueue
+	leaves []sde.ShardLeaf
+	report *sde.ShardedReport
+	digest string
+	errMsg string
+	done   chan struct{}
 }
 
 type lease struct {
 	id       uint64
 	jobID    string
-	item     sde.ShardItem
-	target   uint64
-	contID   uint64
+	task     *sde.ShardTask
 	worker   string
 	holder   *workerConn
 	lastBeat time.Time
@@ -238,9 +215,10 @@ type JobOptions struct {
 	// continuation items. Part of the partition definition — in-process
 	// digest oracles must use the same value.
 	DepthHorizon uint64
-	// HorizonFanout is the continuation fan-out per suspension (default
-	// 2 when DepthHorizon is set; clamped per suspension to what the
-	// frontier supports). Never derived from fleet size.
+	// HorizonFanout is the continuation fan-out per suspension (see
+	// sde.ShardConfig.HorizonFanout: default 2, at most 4096, clamped
+	// per suspension to what the frontier supports). Never derived from
+	// fleet size.
 	HorizonFanout int
 }
 
@@ -251,25 +229,23 @@ func (c *Coordinator) AddJob(spec sde.ScenarioSpec, shardBits, testCases int) (s
 }
 
 // AddJobWith accepts a job: the spec is materialised (validating it), the
-// initial shard queue is enumerated at opts.ShardBits (clamped to the
-// scenario's MaxShardBits), and workers start leasing immediately.
+// job's sde.ShardQueue is built at opts.ShardBits (clamped to the
+// scenario's MaxShardBits), rejecting a fan-out outside its bounds, and
+// workers start leasing immediately.
 func (c *Coordinator) AddJobWith(spec sde.ScenarioSpec, opts JobOptions) (string, error) {
 	scenario, err := spec.Scenario()
 	if err != nil {
 		return "", err
 	}
-	shardBits := opts.ShardBits
-	if shardBits < 0 {
-		return "", fmt.Errorf("dist: shard bits must be >= 0 (got %d)", shardBits)
-	}
-	if opts.HorizonFanout < 0 {
-		return "", fmt.Errorf("dist: horizon fanout must be >= 0 (got %d)", opts.HorizonFanout)
-	}
-	fanout := opts.HorizonFanout
-	if opts.DepthHorizon == 0 {
-		fanout = 0
-	} else if fanout == 0 {
-		fanout = 2
+	shardBits := min(opts.ShardBits, scenario.MaxShardBits())
+	queue, err := sde.NewShardQueue(scenario, sde.ShardConfig{
+		ShardBits:     shardBits,
+		MaxSplitBits:  scenario.MaxShardBits(),
+		DepthHorizon:  opts.DepthHorizon,
+		HorizonFanout: opts.HorizonFanout,
+	})
+	if err != nil {
+		return "", err
 	}
 	// Same heads-up sde-run prints for flag-driven runs: a spec whose
 	// program has candidate shard points but no shardable nodes yields a
@@ -280,9 +256,6 @@ func (c *Coordinator) AddJobWith(spec sde.ScenarioSpec, opts JobOptions) (string
 	if scenario.MaxShardBits() == 0 && opts.DepthHorizon == 0 {
 		c.logf("job spec %s: 0 shardable bits and no depth horizon — the job runs as a single lease and a multi-worker fleet sits idle; set a depth horizon to fan deep exploration out", spec)
 	}
-	if max := scenario.MaxShardBits(); shardBits > max {
-		shardBits = max
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -290,29 +263,20 @@ func (c *Coordinator) AddJobWith(spec sde.ScenarioSpec, opts JobOptions) (string
 	}
 	c.nextJobID++
 	j := &job{
-		id:            fmt.Sprintf("job-%d", c.nextJobID),
-		spec:          spec,
-		shardBits:     shardBits,
-		testCases:     opts.TestCases,
-		depthHorizon:  opts.DepthHorizon,
-		horizonFanout: fanout,
-		scenario:      scenario,
-		state:         JobRunning,
-		outstanding:   make(map[uint64]bool),
-		conts:         make(map[uint64]*contBlob),
-		done:          make(chan struct{}),
-	}
-	for bits := uint64(0); bits < 1<<uint(shardBits); bits++ {
-		j.queue = append(j.queue, queued{
-			item:   sde.ShardItem{Depth: shardBits, Bits: bits},
-			target: opts.DepthHorizon,
-		})
+		id:        fmt.Sprintf("job-%d", c.nextJobID),
+		spec:      spec,
+		shardBits: shardBits,
+		testCases: opts.TestCases,
+		scenario:  scenario,
+		state:     JobRunning,
+		queue:     queue,
+		done:      make(chan struct{}),
 	}
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
 	c.reg.Add("sde_jobs_submitted_total", nil, 1)
 	c.reg.Set("sde_jobs_active", nil, float64(c.activeJobsLocked()))
-	c.logf("job %s submitted: %s, %d initial shards", j.id, spec, len(j.queue))
+	c.logf("job %s submitted: %s, %d initial shards", j.id, spec, queue.Len())
 	return j.id, nil
 }
 
@@ -329,9 +293,8 @@ func (c *Coordinator) CancelJob(id string) error {
 		return nil
 	}
 	j.state = JobCancelled
-	j.queue = nil
-	j.conts = nil
-	c.reg.Set("sde_continuation_blobs", nil, float64(c.contBlobsLocked()))
+	j.queue.Drop()
+	c.setContBlobsLocked()
 	close(j.done)
 	c.reg.Set("sde_jobs_active", nil, float64(c.activeJobsLocked()))
 	c.logf("job %s cancelled", id)
@@ -361,13 +324,19 @@ func (c *Coordinator) Jobs() []JobStatus {
 }
 
 func (c *Coordinator) statusLocked(j *job) JobStatus {
+	outstanding := 0
+	for _, l := range c.leases {
+		if l.jobID == j.id {
+			outstanding++
+		}
+	}
 	st := JobStatus{
 		ID:          j.id,
 		State:       j.state,
 		Spec:        j.spec,
 		ShardBits:   j.shardBits,
-		Queued:      len(j.queue),
-		Outstanding: len(j.outstanding),
+		Queued:      j.queue.Len(),
+		Outstanding: outstanding,
 		Completed:   len(j.leaves),
 		Digest:      j.digest,
 		Error:       j.errMsg,
@@ -421,30 +390,14 @@ func (c *Coordinator) activeJobsLocked() int {
 	return n
 }
 
-func (c *Coordinator) contBlobsLocked() int {
+// setContBlobsLocked publishes how many suspended frontiers the jobs'
+// queues still hold.
+func (c *Coordinator) setContBlobsLocked() {
 	n := 0
 	for _, j := range c.jobs {
-		n += len(j.conts)
+		n += j.queue.Blobs()
 	}
-	return n
-}
-
-// releaseContLocked drops one reference to a suspended frontier; the
-// blob is freed when its last continuation item has completed or
-// suspended again.
-func (c *Coordinator) releaseContLocked(j *job, contID uint64) {
-	if contID == 0 || j.conts == nil {
-		return
-	}
-	b := j.conts[contID]
-	if b == nil {
-		return
-	}
-	b.refs--
-	if b.refs <= 0 {
-		delete(j.conts, contID)
-		c.reg.Set("sde_continuation_blobs", nil, float64(c.contBlobsLocked()))
-	}
+	c.reg.Set("sde_continuation_blobs", nil, float64(n))
 }
 
 // handleConn speaks the worker protocol on one connection.
@@ -558,15 +511,14 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 func (c *Coordinator) grantLease(w *workerConn) error {
 	c.mu.Lock()
 	var (
-		j  *job
-		qi queued
+		j    *job
+		task *sde.ShardTask
 	)
 	for off := 0; off < len(c.order); off++ {
 		cand := c.jobs[c.order[(c.rr+off)%len(c.order)]]
-		if cand.state == JobRunning && len(cand.queue) > 0 {
+		if cand.state == JobRunning && cand.queue.Len() > 0 {
 			j = cand
-			qi = cand.queue[0]
-			cand.queue = cand.queue[1:]
+			task = cand.queue.Pop()
 			c.rr = (c.rr + off + 1) % len(c.order)
 			break
 		}
@@ -580,37 +532,29 @@ func (c *Coordinator) grantLease(w *workerConn) error {
 	l := &lease{
 		id:       c.nextLease,
 		jobID:    j.id,
-		item:     qi.item,
-		target:   qi.target,
-		contID:   qi.contID,
+		task:     task,
 		worker:   w.name,
 		holder:   w,
 		lastBeat: time.Now(),
 	}
 	c.leases[l.id] = l
-	j.outstanding[l.id] = true
 	msg := Lease{
 		ID:            l.id,
 		Job:           j.id,
 		Spec:          j.spec,
-		Item:          qi.item,
+		Item:          task.Item,
 		MaxSplitDepth: j.scenario.MaxShardBits(),
-		EventTarget:   qi.target,
+		EventTarget:   task.Target,
 	}
 	// Continuation items ship the suspended parent frontier with the
-	// lease; blobs are immutable once stored, so the bytes may be written
-	// outside the lock.
-	var parent []byte
-	if qi.contID != 0 {
-		if b := j.conts[qi.contID]; b != nil {
-			parent = b.data
-		}
-	}
+	// lease; frontiers are immutable once stored, so the bytes may be
+	// written outside the lock.
+	parent := task.Parent()
 	c.mu.Unlock()
 	c.reg.Add("sde_leases_issued_total", map[string]string{"worker": w.name}, 1)
 	c.reg.AddGauge("sde_worker_leases_active", map[string]string{"worker": w.name}, 1)
-	c.logf("lease %d: shard %s of %s -> %s", l.id, qi.item.Label(), j.id, w.name)
-	if qi.contID != 0 {
+	c.logf("lease %d: shard %s of %s -> %s", l.id, task.Item.Label(), j.id, w.name)
+	if len(task.Item.Cont) > 0 {
 		c.reg.Add("sde_continuation_leases_total", nil, 1)
 		return writeContLease(w.conn, msg, parent)
 	}
@@ -638,7 +582,7 @@ func (c *Coordinator) beat(w *workerConn, hb Heartbeat) HeartbeatAck {
 	}
 	queued := 0
 	for _, id := range c.order {
-		queued += len(c.jobs[id].queue)
+		queued += c.jobs[id].queue.Len()
 	}
 	ack.Starved = queued == 0
 	return ack
@@ -648,120 +592,82 @@ func (c *Coordinator) beat(w *workerConn, hb Heartbeat) HeartbeatAck {
 func (c *Coordinator) split(w *workerConn, leaseID uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	l, ok := c.leases[leaseID]
-	if !ok || l.holder != w {
+	l, j := c.takeLeaseLocked(w, leaseID)
+	if j == nil {
 		return
 	}
-	c.dropLeaseLocked(l)
-	j := c.jobs[l.jobID]
-	if j == nil || j.state != JobRunning {
-		return
-	}
-	it := l.item
-	if it.Depth >= j.scenario.MaxShardBits() || len(it.Cont) > 0 {
+	if j.queue.Split(l.task) == nil {
 		// Cannot split further — no bits left to pin, or a continuation
-		// item whose pinned decisions already materialised inside its
-		// parent frontier. Run it whole on the next worker.
-		j.queue = append(j.queue, queued{item: it, target: l.target, contID: l.contID})
+		// item: the queue requeued it to run whole on the next worker.
 		c.reg.Add("sde_lease_requeues_total", map[string]string{"reason": "unsplittable"}, 1)
 		return
 	}
-	j.queue = append(j.queue,
-		queued{item: sde.ShardItem{Depth: it.Depth + 1, Bits: it.Bits}, target: l.target},
-		queued{item: sde.ShardItem{Depth: it.Depth + 1, Bits: it.Bits | 1<<uint(it.Depth)}, target: l.target})
 	c.reg.Add("sde_lease_splits_total", nil, 1)
-	c.logf("lease %d: shard %s of %s split", leaseID, it.Label(), l.jobID)
+	c.logf("lease %d: shard %s of %s split", leaseID, l.task.Item.Label(), l.jobID)
 }
 
 // completeLease records a finished leaf and finalises the job when it
 // was the last one.
 func (c *Coordinator) completeLease(w *workerConn, hdr ResultHeader, snapshot []byte) {
 	c.mu.Lock()
-	l, ok := c.leases[hdr.Lease]
-	if !ok || l.holder != w {
+	l, j := c.takeLeaseLocked(w, hdr.Lease)
+	if l == nil {
 		c.mu.Unlock()
 		c.logf("worker %s: result for unknown lease %d dropped", w.name, hdr.Lease)
 		return
 	}
-	c.dropLeaseLocked(l)
-	j := c.jobs[l.jobID]
-	if j == nil || j.state != JobRunning {
+	if j == nil {
 		c.mu.Unlock()
 		return
 	}
 	if hdr.Stopped {
 		// The worker honoured a cancellation that has since been
 		// rescinded, or stopped for its own reasons: requeue (keeping the
-		// parent-frontier reference — the item will run again).
-		c.requeueItemLocked(j, queued{item: l.item, target: l.target, contID: l.contID}, "stopped")
+		// parent frontier — the item will run again).
+		c.requeueTaskLocked(j, l.task, "stopped")
 		c.mu.Unlock()
 		return
 	}
-	j.leaves = append(j.leaves, sde.ShardLeaf{Item: l.item, Snapshot: snapshot})
-	c.releaseContLocked(j, l.contID)
+	j.leaves = append(j.leaves, sde.ShardLeaf{Item: l.task.Item, Snapshot: snapshot})
+	j.queue.Complete(l.task)
+	c.setContBlobsLocked()
 	c.reg.Add("sde_results_total", map[string]string{"worker": w.name}, 1)
-	finished := len(j.queue) == 0 && len(j.outstanding) == 0
+	finished := j.queue.Done()
 	c.mu.Unlock()
 	c.logf("lease %d: shard %s of %s complete (%d bytes)",
-		hdr.Lease, l.item.Label(), l.jobID, len(snapshot))
+		hdr.Lease, l.task.Item.Label(), l.jobID, len(snapshot))
 	if finished {
 		c.finalizeJob(j)
 	}
 }
 
-// suspendLease records a lease that hit its depth horizon: the shipped
-// frontier is stored and fanned out as continuation items — the job's
-// fan-out clamped to what the frontier supports — each targeting the
-// next horizon. The suspended item itself is done; its sub-space is now
-// exactly covered by its continuation children.
+// suspendLease records a lease that hit its depth horizon: the job's
+// queue fans the shipped frontier out as continuation items. The
+// suspended item itself is done; its sub-space is now exactly covered by
+// its continuation children.
 func (c *Coordinator) suspendLease(w *workerConn, hdr SuspendHeader, frontier []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	l, ok := c.leases[hdr.Lease]
-	if !ok || l.holder != w {
+	l, j := c.takeLeaseLocked(w, hdr.Lease)
+	if l == nil {
 		c.logf("worker %s: suspend for unknown lease %d dropped", w.name, hdr.Lease)
 		return
 	}
-	c.dropLeaseLocked(l)
-	j := c.jobs[l.jobID]
-	if j == nil || j.state != JobRunning {
+	if j == nil {
 		return
 	}
-	if j.depthHorizon == 0 || hdr.Units < 1 {
-		// A suspension we never asked for (or an unusable one) would
-		// leave a hole in the cover: requeue the item to run again.
-		c.requeueItemLocked(j, queued{item: l.item, target: l.target, contID: l.contID}, "bad-suspend")
+	kids := j.queue.Suspend(l.task, hdr.Units, hdr.Events, frontier)
+	if kids == nil {
+		// A suspension the job never asked for: the queue requeued the
+		// item to run again.
+		c.reg.Add("sde_lease_requeues_total", map[string]string{"reason": "bad-suspend"}, 1)
 		c.logf("lease %d: unexpected suspend from %s requeued", hdr.Lease, w.name)
 		return
 	}
-	f := j.horizonFanout
-	if f > hdr.Units {
-		f = hdr.Units
-	}
-	if f < 1 {
-		f = 1
-	}
-	j.nextCont++
-	contID := j.nextCont
-	j.conts[contID] = &contBlob{data: frontier, refs: f}
-	// The parent frontier this lease resumed from is no longer needed by
-	// this item — its continuation work is now covered by the children.
-	c.releaseContLocked(j, l.contID)
-	target := hdr.Events + j.depthHorizon
-	for seg := 0; seg < f; seg++ {
-		cont := make([]sde.ContStep, len(l.item.Cont)+1)
-		copy(cont, l.item.Cont)
-		cont[len(l.item.Cont)] = sde.ContStep{Seg: seg, Of: f}
-		j.queue = append(j.queue, queued{
-			item:   sde.ShardItem{Depth: l.item.Depth, Bits: l.item.Bits, Cont: cont},
-			target: target,
-			contID: contID,
-		})
-	}
 	c.reg.Add("sde_lease_suspensions_total", nil, 1)
-	c.reg.Set("sde_continuation_blobs", nil, float64(c.contBlobsLocked()))
+	c.setContBlobsLocked()
 	c.logf("lease %d: shard %s of %s suspended at %d events (%d units) -> %d continuations",
-		hdr.Lease, l.item.Label(), l.jobID, hdr.Events, hdr.Units, f)
+		hdr.Lease, l.task.Item.Label(), l.jobID, hdr.Events, hdr.Units, len(kids))
 }
 
 // failLease requeues a lease whose execution errored worker-side.
@@ -776,12 +682,26 @@ func (c *Coordinator) failLease(w *workerConn, em ErrorMsg) {
 	c.requeueLocked(l, "error")
 }
 
+// takeLeaseLocked removes the lease w holds under id from the books and
+// returns it with its job. The lease is nil when w does not hold it; the
+// job is nil when it is no longer running, so there is nothing to hand
+// back.
+func (c *Coordinator) takeLeaseLocked(w *workerConn, id uint64) (*lease, *job) {
+	l, ok := c.leases[id]
+	if !ok || l.holder != w {
+		return nil, nil
+	}
+	c.dropLeaseLocked(l)
+	j := c.jobs[l.jobID]
+	if j == nil || j.state != JobRunning {
+		return l, nil
+	}
+	return l, j
+}
+
 // dropLeaseLocked removes a lease from the books without requeueing.
 func (c *Coordinator) dropLeaseLocked(l *lease) {
 	delete(c.leases, l.id)
-	if j := c.jobs[l.jobID]; j != nil {
-		delete(j.outstanding, l.id)
-	}
 	c.reg.AddGauge("sde_worker_leases_active", map[string]string{"worker": l.worker}, -1)
 }
 
@@ -792,13 +712,12 @@ func (c *Coordinator) requeueLocked(l *lease, reason string) {
 	if j == nil || j.state != JobRunning {
 		return
 	}
-	c.requeueItemLocked(j, queued{item: l.item, target: l.target, contID: l.contID}, reason)
-	c.logf("lease %d: shard %s of %s requeued (%s)", l.id, l.item.Label(), l.jobID, reason)
+	c.requeueTaskLocked(j, l.task, reason)
+	c.logf("lease %d: shard %s of %s requeued (%s)", l.id, l.task.Item.Label(), l.jobID, reason)
 }
 
-func (c *Coordinator) requeueItemLocked(j *job, qi queued, reason string) {
-	// Front of the queue: a recovered item is the oldest work we have.
-	j.queue = append([]queued{qi}, j.queue...)
+func (c *Coordinator) requeueTaskLocked(j *job, t *sde.ShardTask, reason string) {
+	j.queue.Requeue(t)
 	c.reg.Add("sde_lease_requeues_total", map[string]string{"reason": reason}, 1)
 }
 
@@ -834,8 +753,7 @@ func (c *Coordinator) finalizeJob(j *job) {
 		j.report = report
 		j.digest = digest
 	}
-	j.conts = nil
-	c.reg.Set("sde_continuation_blobs", nil, float64(c.contBlobsLocked()))
+	c.setContBlobsLocked()
 	close(j.done)
 	c.reg.Set("sde_jobs_active", nil, float64(c.activeJobsLocked()))
 	c.mu.Unlock()

@@ -7,7 +7,13 @@ package dist
 // bit-for-bit, including across a worker crash mid-continuation.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -206,5 +212,59 @@ func TestSplitWanted(t *testing.T) {
 				t.Errorf("splitWanted = %v, want %v", got, tc.want)
 			}
 		})
+	}
+}
+
+// oversizedFanout is a depth-partitioned job whose continuation fan-out
+// exceeds the 4096 bound every lease is validated against: accepted, its
+// continuation leases would all fail on the worker and requeue forever.
+var oversizedFanout = struct {
+	spec    sde.ScenarioSpec
+	horizon uint64
+	fanout  int
+}{sde.ScenarioSpec{Workload: "collect", Topology: "grid:4", Algorithm: "cob"}, 200, 5000}
+
+// TestAddJobRejectsOversizedFanout: AddJobWith applies the same fan-out
+// bound as the in-process scheduler and names it.
+func TestAddJobRejectsOversizedFanout(t *testing.T) {
+	c := NewCoordinator(Options{})
+	defer c.Close()
+	_, err := c.AddJobWith(oversizedFanout.spec, JobOptions{
+		DepthHorizon:  oversizedFanout.horizon,
+		HorizonFanout: oversizedFanout.fanout,
+	})
+	if err == nil || !strings.Contains(err.Error(), "4096") {
+		t.Fatalf("AddJobWith err = %v, want a rejection naming the 4096 limit", err)
+	}
+	if jobs := c.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected job was queued: %+v", jobs)
+	}
+}
+
+// TestServiceHTTPRejectsOversizedFanout: the job API answers 400 naming
+// the limit, and no job is created.
+func TestServiceHTTPRejectsOversizedFanout(t *testing.T) {
+	c, _ := startCoordinator(t, Options{})
+	srv := httptest.NewServer(c.HTTPHandler())
+	defer srv.Close()
+	body, err := json.Marshal(SubmitRequest{
+		Spec:          oversizedFanout.spec,
+		DepthHorizon:  oversizedFanout.horizon,
+		HorizonFanout: oversizedFanout.fanout,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "4096") {
+		t.Fatalf("submit: %d %q, want 400 naming the 4096 limit", resp.StatusCode, msg)
+	}
+	if jobs := c.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected job was queued: %+v", jobs)
 	}
 }

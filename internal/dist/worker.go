@@ -311,13 +311,10 @@ func executeLease(ctx context.Context, conn net.Conn, acks <-chan HeartbeatAck,
 // straggler re-split: self-splitting must be armed, the lease must look
 // heavy (live states over the threshold after the grace period), the
 // coordinator must be reporting a starved queue, and the item must still
-// be splittable — below the job's pin cap and not a continuation item,
-// whose pinned decisions already materialised inside its parent frontier
-// (the depth dimension subdivides those instead).
+// be splittable below the job's pin cap (see sde.ShardItem.Splittable).
 func splitWanted(opts WorkerOptions, lease Lease, states int, elapsed time.Duration, starved bool) bool {
 	return opts.SplitStates > 0 && states > opts.SplitStates &&
 		elapsed >= opts.SplitAfter &&
 		starved &&
-		lease.Item.Depth < lease.MaxSplitDepth &&
-		len(lease.Item.Cont) == 0
+		lease.Item.Splittable(lease.MaxSplitDepth)
 }

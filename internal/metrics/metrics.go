@@ -249,6 +249,8 @@ func (r ReduceStats) String() string {
 // work-stealing shard scheduler spent its worker pool. It is the
 // scheduling counterpart of the per-run Sample series — per-worker
 // utilisation, steal/split activity, and cross-shard solver-cache reuse.
+// The per-layer counters (solver, speculation, VM, merging, reduction)
+// stay on each leaf's own report.
 type SchedStats struct {
 	Workers     int // worker pool size
 	Shards      int // leaf shards that ran to completion
@@ -259,38 +261,6 @@ type SchedStats struct {
 
 	SharedLookups int64 // cross-shard solver cache lookups
 	SharedHits    int64 // lookups answered from the cross-shard cache
-
-	// Per-shard solver activity, summed over the leaf shards: how much
-	// of the constraint-solving work the incremental pipeline absorbed.
-	IncrementalSolves int64 // CDCL runs on the persistent per-shard instances
-	SubsumptionHits   int64 // queries answered by subset/superset cache entries
-	EncodeSkips       int64 // constraint encodes served by persistent blast memos
-	QueriesSliced     int64 // queries shrunk by constraint independence slicing
-	GatesElided       int64 // encoding work the query optimizer avoided (DAG nodes)
-
-	// Per-shard speculative-fork pipeline activity, summed over the leaf
-	// shards (see SpecStats).
-	SpecSubmitted int64 // speculations submitted across shards
-	SpecSolves    int64 // feasibility queries issued by speculation workers
-	SpecElided    int64 // false-side verdicts answered by complement elision
-	SpecRewinds   int64 // speculative executions rewound onto the false side
-
-	// Per-shard compiled-IR fast-path activity, summed over the leaf
-	// shards (see VMStats).
-	FastBlocks   uint64 // block executions taken by the concrete fast path
-	SlowBlocks   uint64 // block entries that fell back to the interpreter
-	FoldedInstrs uint64 // fast-path instructions answered by load-time folding
-
-	// Per-shard state-merging activity, summed over the leaf shards (see
-	// MergeStats).
-	MergeMerges     uint64 // accepted state fusions across shards
-	MergeCandidates uint64 // structurally mergeable pairs considered
-	MergeRejects    uint64 // candidates declined by the cost model
-
-	// Per-shard symmetry-reduction activity, summed over the leaf shards
-	// (see ReduceStats).
-	ReduceChecks uint64 // failure decisions the reducers were consulted on
-	ReducePins   uint64 // decisions pinned instead of forked across shards
 
 	WorkerBusy []time.Duration // per-worker time spent running shards
 	Elapsed    time.Duration   // scheduler wall time (the makespan)

@@ -24,7 +24,7 @@ import (
 // aggregation.
 //
 // Scheduling is adaptive: a bounded worker pool pulls shard work items
-// from a shared queue, and when a shard turns out to be a straggler —
+// from one ShardQueue, and when a shard turns out to be a straggler —
 // its live-state count or wall time crosses a threshold while other
 // workers starve — the worker stops it mid-run and splits it in place,
 // pinning one more drop decision to produce two child shards. Light
@@ -97,7 +97,8 @@ type ShardConfig struct {
 	DepthHorizon uint64
 
 	// HorizonFanout is how many continuation slices one suspension
-	// produces (default 2 when DepthHorizon is set; ignored otherwise).
+	// produces (default 2 when DepthHorizon is set, at most 4096;
+	// ignored without a horizon).
 	// It is clamped to the suspended frontier's independently resumable
 	// unit count (COB: live dscenarios; COW/SDS: 1 — those frontiers
 	// continue as a chain rather than a fan). Deliberately NOT derived
@@ -109,13 +110,6 @@ type ShardConfig struct {
 const (
 	defaultSplitThreshold = 4096
 	defaultSplitAfter     = 2 * time.Second
-
-	// defaultHorizonFanout is how many continuation slices one suspension
-	// produces when DepthHorizon is set and HorizonFanout is not. Small
-	// and fixed: each horizon generation doubles the parallelism, so a
-	// deep run fans out geometrically without the fan-out ever depending
-	// on pool or fleet size (which would break digest stability).
-	defaultHorizonFanout = 2
 )
 
 // ShardReport is the outcome of one shard of a sharded run.
@@ -215,43 +209,23 @@ func (r *ShardedReport) Aborted() (bool, string) {
 	return false, ""
 }
 
-// workItem identifies one sub-space of the dscenario partition: bit i of
-// bits is the pinned value of the i-th shardable drop decision, depth
-// says how many bits are pinned, and cont narrows the item along the
-// depth dimension to one slice of a suspended ancestor's frontier. The
-// set of completed items always forms a prefix-free cover of the
-// two-dimensional space, so their union is exactly the unsharded
-// exploration regardless of how splitting and suspension unfolded.
-type workItem struct {
-	depth  int
-	bits   uint64
-	cont   []ContStep // continuation path (empty for a plain bit shard)
-	target uint64     // absolute event count of the next horizon (0 = none)
-	parent []byte     // suspended ancestor frontier to slice-resume from
-	origin int        // worker that enqueued it; -1 for the initial pre-split
-}
-
 type leafResult struct {
-	item   workItem
-	pin    map[string]uint64
+	item   ShardItem
 	report *Report
 }
 
-// shardSched is the work-stealing pool: a shared LIFO queue drained by a
-// fixed set of workers. "Stealing" here is work-sharing through the
-// shared queue — a steal is counted whenever a worker executes an item
-// that a different worker enqueued (i.e. one half of someone else's
-// split).
+// shardSched is the in-process pool: a fixed set of goroutines draining
+// one ShardQueue. "Stealing" here is work-sharing through the shared
+// queue — a steal is counted whenever a worker executes an item that a
+// different worker's split or suspension enqueued.
 type shardSched struct {
-	scenario Scenario
-	armed    []int
-	cfg      ShardConfig // normalised: all defaults applied
-	cache    *solver.SharedCache
+	scenario Scenario // with the shared solver cache, if any
+	cfg      ShardConfig
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []workItem
-	pending int // queued + in-flight items
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  *ShardQueue
+	origin map[*ShardTask]int // worker whose split or suspension enqueued the item
 
 	leaves      []leafResult
 	errs        []error
@@ -261,22 +235,6 @@ type shardSched struct {
 	suspensions int
 	busy        []time.Duration
 }
-
-// exported converts the scheduler-internal work item to its public form
-// (the one the exploration service leases over the wire).
-func (it workItem) exported() ShardItem {
-	return ShardItem{Depth: it.depth, Bits: it.bits, Cont: it.cont}
-}
-
-func (sc *shardSched) pinFor(item workItem) map[string]uint64 {
-	return sc.scenario.shardPin(item.exported())
-}
-
-func bitLabel(item workItem) string { return item.exported().Label() }
-
-// shardDirName names a work item's checkpoint subdirectory; see
-// ShardItem.Dir.
-func shardDirName(item workItem) string { return item.exported().Dir() }
 
 // progressHook decides whether a running shard should stop and split: it
 // must look like a straggler (states or wall time over threshold) while
@@ -288,130 +246,75 @@ func (sc *shardSched) progressHook(states int, elapsed time.Duration) bool {
 		return false
 	}
 	sc.mu.Lock()
-	starved := len(sc.queue) < sc.cfg.Workers
+	starved := sc.queue.Len() < sc.cfg.Workers
 	sc.mu.Unlock()
 	return starved
 }
 
-// runItem executes one shard run. Splittable items (depth below the
-// cap) get the progress hook installed so the scheduler can cut them
-// short — except continuation items: their pinned decisions already
-// materialised inside the parent frontier, so pinning more bits cannot
-// subdivide them (the depth dimension subdivides them instead). The
-// fourth return is the suspended frontier when the run hit its horizon.
-func (sc *shardSched) runItem(item workItem) (*Report, map[string]uint64, []byte, error) {
-	pin := sc.pinFor(item)
-	cfg := sc.scenario.cfg
-	cfg.Pin = pin
-	cfg.SharedSolverCache = sc.cache
-	if item.depth < sc.cfg.MaxSplitBits && len(item.cont) == 0 {
-		cfg.Progress = sc.progressHook
+// run executes one item through the same path a work lease takes. Only
+// splittable items get the progress hook, so only they can be cut short.
+func (sc *shardSched) run(t *ShardTask) (*Report, []byte, error) {
+	opts := LeaseOptions{
+		CheckpointEvery: sc.cfg.CheckpointEvery,
+		EventTarget:     t.Target,
+		Continuation:    t.Parent(),
 	}
-	cfg.CheckpointEvery = sc.cfg.CheckpointEvery
-	cfg.EventBudget = item.target
-	shard := sc.scenario
-	shard.cfg = cfg
-	shard.desc = fmt.Sprintf("%s [shard %s]", sc.scenario.desc, bitLabel(item))
-	dir := ""
 	if sc.cfg.CheckpointDir != "" {
-		dir = filepath.Join(sc.cfg.CheckpointDir, shardDirName(item))
+		opts.CheckpointDir = filepath.Join(sc.cfg.CheckpointDir, t.Item.Dir())
 	}
-	report, suspend, err := runShardItem(shard, dir, item.cont, item.parent)
-	if err != nil {
-		return nil, nil, nil, err
+	if sc.queue.canSplit(t) { // reads only the queue's fixed split cap
+		opts.Progress = sc.progressHook
 	}
-	// Scrub the run-time hooks from the stored scenario: a replay
-	// through this report must not be stopped by the (now stale)
-	// scheduler hook or event budget, write into the shared cache, or
-	// overwrite the shard's checkpoint.
-	scrubRunHooks(report)
-	return report, pin, suspend, nil
+	return runShard(sc.scenario, t.Item, opts)
 }
 
 func (sc *shardSched) worker(id int) {
 	for {
 		sc.mu.Lock()
-		for len(sc.queue) == 0 && sc.pending > 0 {
+		for sc.queue.Len() == 0 && !sc.queue.Done() {
 			sc.cond.Wait()
 		}
-		if len(sc.queue) == 0 {
+		t := sc.queue.Pop()
+		if t == nil {
 			sc.mu.Unlock()
 			return
 		}
-		item := sc.queue[len(sc.queue)-1]
-		sc.queue = sc.queue[:len(sc.queue)-1]
-		if item.origin >= 0 && item.origin != id {
-			sc.steals++
+		if by, ok := sc.origin[t]; ok {
+			if by != id {
+				sc.steals++
+			}
+			delete(sc.origin, t)
 		}
 		sc.mu.Unlock()
 
 		start := time.Now()
-		report, pin, suspend, err := sc.runItem(item)
+		report, suspend, err := sc.run(t)
 		elapsed := time.Since(start)
 
 		sc.mu.Lock()
 		sc.busy[id] += elapsed
+		var kids []*ShardTask
+		switch {
+		case err != nil:
+			sc.errs = append(sc.errs, fmt.Errorf("shard %s: %w", t.Item.Label(), err))
+			sc.queue.Complete(t)
+		case report.Stopped():
+			sc.splits++
+			kids = sc.queue.Split(t)
+		case report.Suspended():
+			sc.suspensions++
+			kids = sc.queue.Suspend(t, report.res.SuspendUnits, report.res.Events, suspend)
+		default:
+			sc.queue.Complete(t)
+			sc.leaves = append(sc.leaves, leafResult{item: t.Item, report: report})
+		}
 		if report != nil && report.Resumed() {
 			sc.resumed++
 		}
-		switch {
-		case err != nil:
-			sc.errs = append(sc.errs,
-				fmt.Errorf("shard %s: %w", bitLabel(item), err))
-		case report.res.Stopped:
-			// Straggler: replace it with its two halves, one more drop
-			// decision pinned. The partial run is discarded — its states
-			// are not a sound cover of the sub-space.
-			sc.splits++
-			for b := uint64(0); b <= 1; b++ {
-				child := workItem{
-					depth:  item.depth + 1,
-					bits:   item.bits | b<<uint(item.depth),
-					target: item.target,
-					origin: id,
-				}
-				sc.queue = append(sc.queue, child)
-				sc.pending++
-				sc.cond.Signal()
-			}
-		case report.res.Suspended:
-			// Depth horizon: fan the surviving frontier out as continuation
-			// items. The fan-out is the configured one clamped to what the
-			// frontier supports (COW/SDS suspend as a single unit and
-			// continue as a chain) — never the worker count, which must not
-			// shape the partition.
-			sc.suspensions++
-			f := sc.cfg.HorizonFanout
-			if u := report.res.SuspendUnits; f > u {
-				f = u
-			}
-			if f < 1 {
-				f = 1
-			}
-			target := report.res.Events + sc.cfg.DepthHorizon
-			for seg := 0; seg < f; seg++ {
-				cont := make([]ContStep, len(item.cont)+1)
-				copy(cont, item.cont)
-				cont[len(item.cont)] = ContStep{Seg: seg, Of: f}
-				child := workItem{
-					depth:  item.depth,
-					bits:   item.bits,
-					cont:   cont,
-					target: target,
-					parent: suspend,
-					origin: id,
-				}
-				sc.queue = append(sc.queue, child)
-				sc.pending++
-				sc.cond.Signal()
-			}
-		default:
-			sc.leaves = append(sc.leaves, leafResult{item: item, pin: pin, report: report})
+		for _, k := range kids {
+			sc.origin[k] = id
 		}
-		sc.pending--
-		if sc.pending == 0 {
-			sc.cond.Broadcast()
-		}
+		sc.cond.Broadcast()
 		sc.mu.Unlock()
 	}
 }
@@ -431,26 +334,15 @@ func (sc *shardSched) worker(id int) {
 // Shard errors do not cancel the run; every failed shard's error is
 // collected and the joined aggregate returned.
 func RunScenarioShardedWith(s Scenario, cfg ShardConfig) (*ShardedReport, error) {
-	if cfg.ShardBits < 0 {
-		return nil, fmt.Errorf("sde: negative shard bits")
-	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("sde: Workers must be >= 0 (got %d); 0 means one per CPU", cfg.Workers)
 	}
-	armed := append([]int(nil), s.shardable...)
-	sort.Ints(armed)
-	if cfg.ShardBits > len(armed) {
-		return nil, fmt.Errorf("sde: %d shard bits but only %d shardable drop nodes",
-			cfg.ShardBits, len(armed))
+	queue, err := NewShardQueue(s, cfg)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.MaxSplitBits < cfg.ShardBits {
-		cfg.MaxSplitBits = cfg.ShardBits
-	}
-	if cfg.MaxSplitBits > len(armed) {
-		cfg.MaxSplitBits = len(armed)
 	}
 	if cfg.SplitThreshold <= 0 {
 		cfg.SplitThreshold = defaultSplitThreshold
@@ -458,37 +350,20 @@ func RunScenarioShardedWith(s Scenario, cfg ShardConfig) (*ShardedReport, error)
 	if cfg.SplitAfter <= 0 {
 		cfg.SplitAfter = defaultSplitAfter
 	}
-	if cfg.HorizonFanout < 0 {
-		return nil, fmt.Errorf("sde: HorizonFanout must be >= 0 (got %d); 0 means the default", cfg.HorizonFanout)
-	}
-	if cfg.HorizonFanout > maxContFanout {
-		return nil, fmt.Errorf("sde: HorizonFanout %d exceeds the maximum %d", cfg.HorizonFanout, maxContFanout)
-	}
-	if cfg.DepthHorizon == 0 {
-		cfg.HorizonFanout = 0
-	} else if cfg.HorizonFanout == 0 {
-		cfg.HorizonFanout = defaultHorizonFanout
-	}
 
 	sc := &shardSched{
 		scenario: s,
-		armed:    armed,
 		cfg:      cfg,
+		queue:    queue,
+		origin:   make(map[*ShardTask]int),
 		busy:     make([]time.Duration, cfg.Workers),
 	}
 	sc.cond = sync.NewCond(&sc.mu)
+	var cache *solver.SharedCache
 	if cfg.SharedSolverCache {
-		sc.cache = solver.NewSharedCache()
+		cache = solver.NewSharedCache()
 	}
-	for shard := 0; shard < 1<<cfg.ShardBits; shard++ {
-		sc.queue = append(sc.queue, workItem{
-			depth:  cfg.ShardBits,
-			bits:   uint64(shard),
-			target: cfg.DepthHorizon,
-			origin: -1,
-		})
-	}
-	sc.pending = len(sc.queue)
+	sc.scenario.cfg.SharedSolverCache = cache
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -515,8 +390,8 @@ func RunScenarioShardedWith(s Scenario, cfg ShardConfig) (*ShardedReport, error)
 		WorkerBusy:  sc.busy,
 		Elapsed:     time.Since(start),
 	}
-	if sc.cache != nil {
-		st := sc.cache.Stats()
+	if cache != nil {
+		st := cache.Stats()
 		sched.SharedLookups = st.Lookups
 		sched.SharedHits = st.Hits
 	}
@@ -536,65 +411,33 @@ func finalizeSharded(s Scenario, leaves []leafResult, sched SchedStats) *Sharded
 	// comparison with shorter-first tie-break is a total order.
 	sort.Slice(leaves, func(i, j int) bool {
 		a, b := leaves[i].item, leaves[j].item
-		n := a.depth
-		if b.depth < n {
-			n = b.depth
-		}
-		for bit := 0; bit < n; bit++ {
-			ab := (a.bits >> uint(bit)) & 1
-			bb := (b.bits >> uint(bit)) & 1
+		for bit := 0; bit < min(a.Depth, b.Depth); bit++ {
+			ab := (a.Bits >> uint(bit)) & 1
+			bb := (b.Bits >> uint(bit)) & 1
 			if ab != bb {
 				return ab < bb
 			}
 		}
-		if a.depth != b.depth {
-			return a.depth < b.depth
+		if a.Depth != b.Depth {
+			return a.Depth < b.Depth
 		}
-		m := len(a.cont)
-		if len(b.cont) < m {
-			m = len(b.cont)
-		}
-		for k := 0; k < m; k++ {
-			if a.cont[k].Seg != b.cont[k].Seg {
-				return a.cont[k].Seg < b.cont[k].Seg
+		for k := 0; k < min(len(a.Cont), len(b.Cont)); k++ {
+			if a.Cont[k].Seg != b.Cont[k].Seg {
+				return a.Cont[k].Seg < b.Cont[k].Seg
 			}
-			if a.cont[k].Of != b.cont[k].Of {
-				return a.cont[k].Of < b.cont[k].Of
+			if a.Cont[k].Of != b.Cont[k].Of {
+				return a.Cont[k].Of < b.Cont[k].Of
 			}
 		}
-		return len(a.cont) < len(b.cont)
+		return len(a.Cont) < len(b.Cont)
 	})
 	shards := make([]ShardReport, len(leaves))
 	for i, leaf := range leaves {
 		leaf.report.scenario.desc = fmt.Sprintf("%s [shard %d/%d]",
 			s.desc, i, len(leaves))
-		shards[i] = ShardReport{Shard: i, Pin: leaf.pin, Report: leaf.report}
+		shards[i] = ShardReport{Shard: i, Pin: leaf.report.scenario.cfg.Pin, Report: leaf.report}
 	}
 	sched.Shards = len(shards)
-	for _, leaf := range leaves {
-		st := leaf.report.res.SolverStats
-		sched.IncrementalSolves += st.IncSolves
-		sched.SubsumptionHits += st.SubsumptionHits
-		sched.EncodeSkips += st.EncodeSkips
-		sched.QueriesSliced += st.SlicedQueries
-		sched.GatesElided += st.GatesElided
-		sp := leaf.report.res.Spec
-		sched.SpecSubmitted += sp.Submitted
-		sched.SpecSolves += sp.Solves
-		sched.SpecElided += sp.Elided
-		sched.SpecRewinds += sp.Rewinds
-		vmst := leaf.report.res.VM
-		sched.FastBlocks += vmst.FastBlocks
-		sched.SlowBlocks += vmst.SlowBlocks
-		sched.FoldedInstrs += vmst.FoldedInstrs
-		mg := leaf.report.res.Merge
-		sched.MergeMerges += mg.Merges
-		sched.MergeCandidates += mg.Candidates
-		sched.MergeRejects += mg.Rejects
-		rd := leaf.report.res.Reduce
-		sched.ReduceChecks += rd.Checks
-		sched.ReducePins += rd.Pins
-	}
 	return &ShardedReport{Shards: shards, Sched: sched}
 }
 

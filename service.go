@@ -36,8 +36,7 @@ import (
 // sub-space along the second shard dimension — exploration depth: each
 // ContStep records one depth-horizon suspension of the (depth, bits)
 // run's frontier and which slice of the fan-out this item continues. It
-// is the exported form of the shard scheduler's work item, and what a
-// work lease carries on the wire.
+// is what a ShardQueue holds and what a work lease carries on the wire.
 type ShardItem struct {
 	Depth int
 	Bits  uint64
@@ -54,9 +53,10 @@ type ContStep struct {
 	Of  int
 }
 
-// maxContFanout bounds one suspension's fan-out; maxContDepth bounds how
-// many horizon generations a single item may chain — both are sanity
-// limits on wire-supplied items, far above anything a real fleet forms.
+// maxContFanout bounds one suspension's fan-out (and so HorizonFanout);
+// maxContDepth bounds how many horizon generations a single item may
+// chain — both are sanity limits on wire-supplied items, far above
+// anything a real fleet forms.
 const (
 	maxContFanout = 4096
 	maxContDepth  = 64
@@ -193,19 +193,10 @@ func RunShardLease(s Scenario, it ShardItem, opts LeaseOptions) (*LeaseOutcome, 
 	if opts.CheckpointDir == "" {
 		return nil, fmt.Errorf("sde: RunShardLease needs a checkpoint directory")
 	}
-	shard := s
-	cfg := s.cfg
-	cfg.Pin = s.shardPin(it)
-	cfg.Progress = opts.Progress
-	cfg.CheckpointEvery = opts.CheckpointEvery
-	cfg.EventBudget = opts.EventTarget
-	shard.cfg = cfg
-	shard.desc = fmt.Sprintf("%s [shard %s]", s.desc, it.Label())
-	report, suspend, err := runShardItem(shard, opts.CheckpointDir, it.Cont, opts.Continuation)
+	report, suspend, err := runShard(s, it, opts)
 	if err != nil {
 		return nil, err
 	}
-	scrubRunHooks(report)
 	if report.Stopped() {
 		return &LeaseOutcome{Stopped: true, Report: report}, nil
 	}
@@ -225,31 +216,39 @@ func RunShardLease(s Scenario, it ShardItem, opts LeaseOptions) (*LeaseOutcome, 
 	return &LeaseOutcome{Report: report, Snapshot: data}, nil
 }
 
-// runShardItem executes one shard work item with direct engine access:
-// fresh, resumed from the item's own checkpoint in dir, or — for a
-// continuation item with no checkpoint of its own yet — resumed as slice
-// cont[last].Seg of the parent frontier partitioned cont[last].Of ways.
-// It returns the report plus, when the run suspended at its depth
-// horizon, the continuation snapshot bytes.
-func runShardItem(shard Scenario, dir string, cont []ContStep, parent []byte) (*Report, []byte, error) {
+// runShard executes one work item of s, for a lease and for the
+// in-process pool alike: the scenario restricted to the item's pinned
+// decisions, with opts' progress hook and event target, run fresh,
+// resumed from the item's own checkpoint in opts.CheckpointDir (when
+// set), or — for a continuation item with no checkpoint of its own yet —
+// resumed as slice Cont[last].Seg of opts.Continuation partitioned
+// Cont[last].Of ways. It returns the report, with its run-time hooks
+// scrubbed, plus the continuation snapshot when the run suspended at its
+// depth horizon.
+func runShard(s Scenario, it ShardItem, opts LeaseOptions) (*Report, []byte, error) {
+	shard := s
+	cfg := s.cfg
+	cfg.Pin = s.shardPin(it)
+	cfg.Progress = opts.Progress
+	cfg.CheckpointEvery = opts.CheckpointEvery
+	cfg.EventBudget = opts.EventTarget
+	shard.cfg = cfg
+	shard.desc = fmt.Sprintf("%s [shard %s]", s.desc, it.Label())
+	dir := opts.CheckpointDir
+	var data []byte // the item's own checkpoint, if any
 	if dir != "" {
-		shard = shard.WithCheckpoints(dir, shard.cfg.CheckpointEvery)
+		shard = shard.WithCheckpoints(dir, cfg.CheckpointEvery)
+		var err error
+		if data, err = snap.LoadBytes(dir); err != nil && !errors.Is(err, snap.ErrNoCheckpoint) {
+			return nil, nil, fmt.Errorf("sde: %w", err)
+		}
 	}
-	cfg := shard.cfg
 	var eng *sim.Engine
 	var err error
-	if dir != "" {
-		data, lerr := snap.LoadBytes(dir)
-		switch {
-		case lerr == nil:
-			eng, err = sim.ResumeEngine(cfg, data)
-		case errors.Is(lerr, snap.ErrNoCheckpoint):
-			eng, err = newShardEngine(cfg, cont, parent)
-		default:
-			return nil, nil, fmt.Errorf("sde: %w", lerr)
-		}
+	if data != nil {
+		eng, err = sim.ResumeEngine(shard.cfg, data)
 	} else {
-		eng, err = newShardEngine(cfg, cont, parent)
+		eng, err = newShardEngine(shard.cfg, it.Cont, opts.Continuation)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("sde: %w", err)
@@ -275,6 +274,7 @@ func runShardItem(shard Scenario, dir string, cont []ContStep, parent []byte) (*
 			return nil, nil, fmt.Errorf("sde: continuation snapshot: %w", err)
 		}
 	}
+	scrubRunHooks(report)
 	return report, suspend, nil
 }
 
@@ -335,11 +335,8 @@ func AssembleSharded(s Scenario, leaves []ShardLeaf) (*ShardedReport, error) {
 	}
 	results := make([]leafResult, 0, len(leaves))
 	for _, leaf := range leaves {
-		pin := s.shardPin(leaf.Item)
 		shard := s
-		cfg := s.cfg
-		cfg.Pin = pin
-		shard.cfg = cfg
+		shard.cfg.Pin = s.shardPin(leaf.Item)
 		eng, err := sim.ResumeEngine(shard.cfg, leaf.Snapshot)
 		if err != nil {
 			return nil, fmt.Errorf("sde: shard %s: %w", leaf.Item.Label(), err)
@@ -348,11 +345,7 @@ func AssembleSharded(s Scenario, leaves []ShardLeaf) (*ShardedReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sde: shard %s: %w", leaf.Item.Label(), err)
 		}
-		results = append(results, leafResult{
-			item:   workItem{depth: leaf.Item.Depth, bits: leaf.Item.Bits, cont: leaf.Item.Cont},
-			pin:    pin,
-			report: &Report{res: res, scenario: shard},
-		})
+		results = append(results, leafResult{item: leaf.Item, report: &Report{res: res, scenario: shard}})
 	}
 	return finalizeSharded(s, results, SchedStats{Resumed: len(results)}), nil
 }
